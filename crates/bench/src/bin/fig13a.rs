@@ -16,7 +16,7 @@
 use uno::metrics::{OutcomeCounts, ViolinSummary};
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, MILLIS, SECONDS};
 use uno::{DegradationConfig, Experiment, ExperimentConfig};
-use uno_bench::{run_seeds_parallel, HarnessArgs};
+use uno_bench::{run_seeds_parallel, usage_error, HarnessArgs};
 use uno_workloads::FlowSpec;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,7 +95,10 @@ fn main() {
                 variant = FaultVariant::parse(&v)
                     .unwrap_or_else(|| panic!("unknown fault variant `{v}`"));
             }
-            other => panic!("unknown flag {other} (fig13a adds --fault-variant <kind>)"),
+            other => usage_error(
+                &format!("unknown flag {other}"),
+                " [--fault-variant hard|gray|asymmetric|flap]",
+            ),
         }
     }
     let topo = args.topo();

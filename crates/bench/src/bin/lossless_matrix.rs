@@ -22,7 +22,7 @@ use uno::sim::{
     FabricMode, FaultEntry, FaultKind, FaultSpec, FaultTarget, FlowClass, MILLIS, SECONDS,
 };
 use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec};
-use uno_bench::{run_seeds_parallel, HarnessArgs};
+use uno_bench::{run_seeds_parallel, usage_error, HarnessArgs};
 use uno_workloads::FlowSpec;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,7 +97,10 @@ fn main() {
                 only_fault =
                     Some(FaultCol::parse(&v).unwrap_or_else(|| panic!("unknown fault col `{v}`")));
             }
-            other => panic!("unknown flag {other} (lossless_matrix adds --faults <col>)"),
+            other => usage_error(
+                &format!("unknown flag {other}"),
+                " [--faults none|gray|flap]",
+            ),
         }
     }
     let topo = args.topo();

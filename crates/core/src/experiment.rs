@@ -46,13 +46,6 @@ pub struct ExperimentConfig {
     /// [`ExperimentResults::profile`] (non-deterministic, like
     /// `manifest.wall_seconds`).
     pub profile: bool,
-    /// Conservative parallel engine: 0 (the default) runs the serial
-    /// engine; N ≥ 1 partitions the run into pod/DC logical processes with
-    /// up to N − 1 worker threads. Results are identical for every N ≥ 1
-    /// (worker-count independent), but form a distinct deterministic
-    /// universe from the serial engine — don't mix `lp_jobs = 0` and
-    /// `lp_jobs ≥ 1` when comparing seeded runs.
-    pub lp_jobs: usize,
 }
 
 /// Per-flow graceful-degradation knobs (see [`FlowConfig::with_degradation`]).
@@ -86,7 +79,6 @@ impl ExperimentConfig {
             degradation: None,
             telemetry: None,
             profile: false,
-            lp_jobs: 0,
         }
     }
 
@@ -101,7 +93,6 @@ impl ExperimentConfig {
             degradation: None,
             telemetry: None,
             profile: false,
-            lp_jobs: 0,
         }
     }
 }
@@ -177,7 +168,6 @@ impl Experiment {
         if cfg.profile {
             sim.profiler.set_enabled(true);
         }
-        sim.set_lp_jobs(cfg.lp_jobs);
         Experiment { sim, cfg }
     }
 

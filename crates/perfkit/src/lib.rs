@@ -15,10 +15,6 @@
 //! * **erasure codec rows** — batch encode/decode bytes/sec on the paper's
 //!   (8, 2) geometry, plus the preserved byte-at-a-time scalar encoder and
 //!   the gated batch-over-scalar speedup ratio;
-//! * **LP engine rows** — the conservative parallel engine against the
-//!   serial one on a 3-site workload: the single-worker parity ratio is
-//!   gated (window/barrier overhead must stay bounded), the multi-worker
-//!   speedup is informational because it is bounded by the host's cores;
 //! * **fig08 slice** — wall-clock for a scheme × scenario FCT sweep run
 //!   sequentially and through the parallel [`SweepRunner`], plus the
 //!   resulting speedup.

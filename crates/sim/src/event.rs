@@ -210,9 +210,7 @@ impl EventQueue {
             // many events share the tick. The at-or-*before* case matters:
             // `peek_time` advances the cursor to the minimum *pending* tick
             // without popping, and a caller may then legally push an
-            // earlier event (still at/after the floor) — the parallel
-            // engine does exactly this when it peeks every lane to size a
-            // window and then routes cross-lane messages in. Such an event
+            // earlier event (still at/after the floor). Such an event
             // must not be filed into a wheel bucket the cursor has already
             // passed, or it would surface a whole lap late and pop out of
             // order. In the cursor heap it keeps the invariant that the
@@ -466,8 +464,7 @@ mod tests {
     fn push_behind_a_peek_advanced_cursor_stays_ordered() {
         // `peek_time` advances the cursor to the minimum pending tick
         // without popping; a later push may land in an *earlier* tick while
-        // still respecting the floor (the parallel engine's peek-all-lanes
-        // → route-messages pattern). The earlier event must still pop
+        // still respecting the floor. The earlier event must still pop
         // first.
         let mut q = EventQueue::new();
         q.push(22_134, Event::Sample(1)); // tick 21

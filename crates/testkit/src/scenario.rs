@@ -154,13 +154,6 @@ pub struct Scenario {
     /// PFC XOFF threshold in permille of each port's queue capacity
     /// (`0` keeps the topology default). Only meaningful with `lossless`.
     pub pfc_xoff_permille: u32,
-    /// Simulation engine: `0` runs serial, `N ≥ 1` runs the conservative
-    /// parallel engine with N logical-process workers. LP mode is a
-    /// distinct deterministic universe (worker-count independent, but not
-    /// byte-identical to serial), so digests from the two engines must
-    /// never be compared. Serialized only when nonzero, so pre-LP scenario
-    /// files parse (and hash) unchanged.
-    pub lp_jobs: usize,
 }
 
 /// What a checked scenario run produced.
@@ -282,7 +275,6 @@ impl Scenario {
             inject_block_bug: false,
             lossless: false,
             pfc_xoff_permille: 0,
-            lp_jobs: 0,
         }
     }
 
@@ -402,11 +394,6 @@ impl Scenario {
                 Value::U64(self.pfc_xoff_permille as u64),
             ));
         }
-        // Same deal for the engine selector: serial scenarios (the whole
-        // pre-LP corpus) round-trip byte-identically.
-        if self.lp_jobs > 0 {
-            fields.push(("lp_jobs", Value::U64(self.lp_jobs as u64)));
-        }
         fields.push(("flows", Value::Array(flows)));
         fields.push(("faults", Value::Array(faults)));
         obj(fields)
@@ -424,6 +411,16 @@ impl Scenario {
 
     /// Decode from a JSON value tree.
     pub fn from_value(v: &Value) -> Result<Scenario, String> {
+        // Reproducers from the removed conservative LP engine carry
+        // `lp_jobs ≥ 1`. Replaying one on the serial engine would silently
+        // report a different outcome, so refuse it; `0` meant serial.
+        if v.get("lp_jobs").is_some_and(|x| x.as_f64() != Some(0.0)) {
+            return Err(
+                "`lp_jobs` is no longer supported: the LP engine was removed; \
+                        drop the field to replay on the serial engine"
+                    .to_string(),
+            );
+        }
         let flows = arr(v, "flows")?
             .iter()
             .map(|f| {
@@ -494,11 +491,6 @@ impl Scenario {
                 .get("pfc_xoff_permille")
                 .and_then(|x| x.as_f64())
                 .map_or(0, |f| f as u32),
-            // Absent in pre-LP files: default serial.
-            lp_jobs: v
-                .get("lp_jobs")
-                .and_then(|x| x.as_f64())
-                .map_or(0, |f| f as usize),
         })
     }
 
@@ -574,7 +566,6 @@ fn prepare_scenario(sc: &Scenario) -> (Experiment, Vec<FlowSpec>, bool) {
     if permanent {
         cfg.degradation = Some(DegradationConfig::default());
     }
-    cfg.lp_jobs = sc.lp_jobs;
     let mut e = Experiment::new(cfg);
 
     // Normalise workload addressing against the actual topology and add
@@ -966,7 +957,6 @@ mod tests {
             inject_block_bug: false,
             lossless: false,
             pfc_xoff_permille: 0,
-            lp_jobs: 0,
         };
         let back = Scenario::from_json(&sc.to_json_pretty()).unwrap();
         assert_eq!(sc, back);
@@ -1007,7 +997,6 @@ mod tests {
             inject_block_bug: false,
             lossless: false,
             pfc_xoff_permille: 0,
-            lp_jobs: 0,
         };
         let out = run_scenario(&sc);
         assert!(
@@ -1027,5 +1016,13 @@ mod tests {
         let sc = Scenario::generate(1, true);
         let bad = sc.to_json().replace("\"seed\"", "\"sneed\"");
         assert!(Scenario::from_json(&bad).is_err());
+        // LP-engine reproducers are refused; `lp_jobs: 0` still parses.
+        let with_lp = |n: u32| {
+            sc.to_json()
+                .replacen('{', &format!("{{\"lp_jobs\":{n},"), 1)
+        };
+        let err = Scenario::from_json(&with_lp(4)).unwrap_err();
+        assert!(err.contains("the LP engine was removed"), "{err}");
+        assert_eq!(Scenario::from_json(&with_lp(0)).unwrap(), sc);
     }
 }

@@ -26,7 +26,6 @@ fn bug_scenario() -> Scenario {
         inject_block_bug: true,
         lossless: false,
         pfc_xoff_permille: 0,
-        lp_jobs: 0,
     }
 }
 
@@ -104,4 +103,24 @@ fn shrinker_reduces_to_minimal_reproducer() {
     let back = Scenario::from_json(&r.scenario.to_json_pretty()).unwrap();
     assert_eq!(back, r.scenario);
     assert_eq!(repro_hash(&back), repro_hash(&r.scenario));
+}
+
+/// A reproducer written for the removed LP engine (`"lp_jobs": 4`) must not
+/// silently replay on the serial engine: `uno-fuzz --replay` refuses it as a
+/// bad input file (exit 2) and says why.
+#[test]
+fn replay_refuses_lp_engine_reproducer() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_lp_jobs.json");
+    let json = bug_scenario()
+        .to_json_pretty()
+        .replacen('{', "{\n  \"lp_jobs\": 4,", 1);
+    std::fs::write(&path, json).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_uno-fuzz"))
+        .arg("--replay")
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("the LP engine was removed"), "{stderr}");
 }

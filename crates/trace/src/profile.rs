@@ -190,7 +190,7 @@ impl Profiler {
 pub struct ProfileRow {
     /// Nesting depth (0 for top-level spans).
     pub depth: usize,
-    /// Semicolon-joined span path, e.g. `transport;erasure_decode`.
+    /// Semicolon-joined span path, e.g. `transport;rc_block_rx`.
     pub path: String,
     /// Leaf span name.
     pub name: String,
@@ -355,12 +355,12 @@ mod tests {
     fn collapsed_stack_format() {
         let mut p = Profiler::enabled();
         p.enter("transport");
-        p.enter("erasure_decode");
+        p.enter("rc_block_rx");
         std::thread::sleep(std::time::Duration::from_millis(1));
         p.exit();
         p.exit();
         let collapsed = p.report().to_collapsed();
-        assert!(collapsed.contains("transport;erasure_decode "));
+        assert!(collapsed.contains("transport;rc_block_rx "));
         for line in collapsed.lines() {
             let (path, count) = line.rsplit_once(' ').unwrap();
             assert!(!path.is_empty());

@@ -683,7 +683,7 @@ impl MessageFlow {
 
         // Completion accounting.
         if self.cfg.ec.is_some() {
-            ctx.profiler.enter("erasure_encode");
+            ctx.profiler.enter("rc_block_ack");
             let b = pkt.block as u64;
             let needed = self.block_data_count(b) as u16;
             let done_at = self.block_done_thresh(b);
@@ -932,7 +932,7 @@ impl MessageFlow {
         let first = self.rx_bitmap[word] & bit == 0;
         self.rx_bitmap[word] |= bit;
         if self.cfg.ec.is_some() && first {
-            ctx.profiler.enter("erasure_decode");
+            ctx.profiler.enter("rc_block_rx");
             let b = pkt.block as usize;
             // Blocks are sent in order: seeing block b implies all earlier
             // blocks are on (or fell off) the wire — arm their timers too.
