@@ -22,9 +22,18 @@
 //!   synchronized start — e.g. a 32k-flow permutation — lands millions of
 //!   events in one 1 µs bucket.)
 //!
-//! Bucket vectors retain their capacity across laps of the wheel, so after
-//! warm-up the hot path allocates nothing: the wheel doubles as a free
-//! list for event storage.
+//! Wheel storage is proportional to the events pending *now*. Every bucket
+//! is a singly linked list of fixed-size chunks (`CHUNK` entries each)
+//! drawn from one arena; when the cursor reaches a bucket, its chunks are
+//! emptied into the cursor heap and go back on a LIFO free list for the
+//! next bucket to reuse. Live chunks never exceed `⌈pending / CHUNK⌉ +
+//! occupied buckets`, so after warm-up the hot path allocates nothing, and
+//! a burst that once filled a bucket does not keep its storage for the
+//! rest of the run. (Per-bucket `Vec`s that keep their peak capacity grow
+//! with the sum of the buckets' peaks instead: long inter-DC timers spread
+//! bursts across the whole window, ~14M retained slots for 132k pending
+//! events. Chunks rather than single linked events keep the drain
+//! sequential.)
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -96,6 +105,11 @@ const NUM_BUCKETS: usize = 4096;
 const BUCKET_MASK: u64 = (NUM_BUCKETS - 1) as u64;
 /// Words in the occupancy bitmap.
 const WORDS: usize = NUM_BUCKETS / 64;
+/// Entries per storage chunk: small enough that a bucket holding one event
+/// wastes little, large enough that draining a bucket stays sequential.
+const CHUNK: usize = 32;
+/// End of a chunk list (an empty bucket, or the end of the free list).
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
 struct Entry {
@@ -109,6 +123,15 @@ impl Entry {
     fn tick(&self) -> u64 {
         self.time >> BUCKET_SHIFT
     }
+}
+
+/// A fixed-size block of wheel storage, linked into one bucket's list or
+/// into the free list. Slots `..len` are filled; the rest are `None`.
+#[derive(Debug)]
+struct Chunk {
+    next: u32,
+    len: u32,
+    slots: [Option<Entry>; CHUNK],
 }
 
 impl PartialEq for Entry {
@@ -137,8 +160,15 @@ impl Ord for Entry {
 #[derive(Debug)]
 pub struct EventQueue {
     /// The wheel: bucket `i` holds entries whose tick ≡ `i` (mod
-    /// `NUM_BUCKETS`) within the current window `[cur_tick, cur_tick + N)`.
-    buckets: Vec<Vec<Entry>>,
+    /// `NUM_BUCKETS`) within the current window `[cur_tick, cur_tick + N)`,
+    /// as a list of chunks starting at `heads[i]` (`NIL` when empty). Only
+    /// the head chunk may be partly filled.
+    heads: Vec<u32>,
+    /// Arena of every chunk ever allocated: those linked from `heads` plus
+    /// those on the free list.
+    chunks: Vec<Chunk>,
+    /// Head of the LIFO free list of empty chunks (`NIL` when none).
+    free: u32,
     /// One bit per bucket: set while the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Tick of the cursor. All wheel entries live in
@@ -173,7 +203,9 @@ impl EventQueue {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; NUM_BUCKETS],
+            chunks: Vec::new(),
+            free: NIL,
             occupied: [0; WORDS],
             cur_tick: 0,
             cursor_tick: None,
@@ -253,9 +285,15 @@ impl EventQueue {
         self.len == 0
     }
 
+    /// Event slots the wheel holds storage for, live or on the free list.
+    #[cfg(test)]
+    fn stored_slots(&self) -> usize {
+        self.chunks.len() * CHUNK
+    }
+
     /// Place an entry (whose tick is within the current window, and is not
-    /// the cursor tick) into its wheel bucket. Buckets are append-only;
-    /// ordering happens when the cursor reaches them.
+    /// the cursor tick) into its wheel bucket. Buckets are append-only and
+    /// unordered; ordering happens when the cursor reaches them.
     fn insert_wheel(&mut self, e: Entry) {
         let tick = e.tick();
         debug_assert!(tick < self.cur_tick + NUM_BUCKETS as u64);
@@ -267,8 +305,34 @@ impl EventQueue {
         );
         let idx = (tick & BUCKET_MASK) as usize;
         self.occupied[idx / 64] |= 1u64 << (idx % 64);
-        self.buckets[idx].push(e);
+        let mut head = self.heads[idx];
+        if head == NIL || self.chunks[head as usize].len as usize == CHUNK {
+            head = self.alloc_chunk(head);
+            self.heads[idx] = head;
+        }
+        let c = &mut self.chunks[head as usize];
+        c.slots[c.len as usize] = Some(e);
+        c.len += 1;
         self.wheel_len += 1;
+    }
+
+    /// Take an empty chunk (from the free list, else a new one from the
+    /// arena) and link it in front of `next`.
+    fn alloc_chunk(&mut self, next: u32) -> u32 {
+        let id = if self.free != NIL {
+            let id = self.free;
+            self.free = self.chunks[id as usize].next;
+            id
+        } else {
+            self.chunks.push(Chunk {
+                next: NIL,
+                len: 0,
+                slots: std::array::from_fn(|_| None),
+            });
+            u32::try_from(self.chunks.len() - 1).expect("chunk arena exceeds u32 ids")
+        };
+        self.chunks[id as usize].next = next;
+        id
     }
 
     /// Ensure the cursor heap holds the global minimum tick's entries:
@@ -287,7 +351,8 @@ impl EventQueue {
         self.cursor_tick = None;
         let wheel_tick = if self.wheel_len > 0 {
             let idx = self.next_occupied((self.cur_tick & BUCKET_MASK) as usize);
-            Some(self.buckets[idx][0].tick())
+            let head = &self.chunks[self.heads[idx] as usize];
+            Some(head.slots[0].as_ref().expect("head chunk non-empty").tick())
         } else {
             None
         };
@@ -309,14 +374,28 @@ impl EventQueue {
                 break;
             }
         }
-        // Move the target bucket's entries into the cursor heap, handing the
-        // (now empty) vector back to the wheel so its capacity is reused.
+        // Move the target bucket's entries into the (empty) cursor heap's
+        // buffer, heapify it in O(n), and return the bucket's chunks to the
+        // free list.
         let idx = (target & BUCKET_MASK) as usize;
-        let mut v = std::mem::take(&mut self.buckets[idx]);
-        self.wheel_len -= v.len();
         self.occupied[idx / 64] &= !(1u64 << (idx % 64));
-        self.cursor.extend(v.drain(..).map(Reverse));
-        self.buckets[idx] = v;
+        let mut buf = std::mem::take(&mut self.cursor).into_vec();
+        let mut id = std::mem::replace(&mut self.heads[idx], NIL);
+        while id != NIL {
+            let c = &mut self.chunks[id as usize];
+            let n = c.len as usize;
+            buf.extend(
+                c.slots[..n]
+                    .iter_mut()
+                    .map(|s| Reverse(s.take().expect("filled slot"))),
+            );
+            self.wheel_len -= n;
+            c.len = 0;
+            let next = std::mem::replace(&mut c.next, self.free);
+            self.free = id;
+            id = next;
+        }
+        self.cursor = BinaryHeap::from(buf);
         self.cursor_tick = Some(target);
         true
     }
@@ -522,6 +601,120 @@ mod tests {
                 heap.push(t, Event::Sample(tag));
                 tag += 1;
             }
+        }
+        assert!(heap.pop().is_none());
+    }
+
+    /// Pop one event from both queues and require the same `(time, tag)`.
+    fn pop_both(cal: &mut EventQueue, heap: &mut ReferenceHeapQueue) -> Time {
+        let (tc, ec) = cal.pop().expect("calendar queue non-empty");
+        let (th, eh) = heap.pop().expect("reference heap non-empty");
+        assert_eq!(tc, th, "pop time diverged");
+        match (ec, eh) {
+            (Event::Sample(a), Event::Sample(b)) => assert_eq!(a, b, "pop order diverged"),
+            _ => unreachable!(),
+        }
+        tc
+    }
+
+    /// Wheel storage tracks pending events, not each bucket's history:
+    /// bursts drained from several buckets, then a steady trickle that
+    /// touches every bucket over several laps, must not retain a burst's
+    /// worth of slots per bucket (per-bucket vectors kept 5.4 bursts here).
+    #[test]
+    fn wheel_storage_tracks_pending_events() {
+        const BURST: usize = 100_000;
+        let mut rng = SmallRng::seed_from_u64(0x5707_A6E5);
+        let mut cal = EventQueue::new();
+        let mut heap = ReferenceHeapQueue::new();
+        let mut now: Time = 0;
+        let mut tag = 0u32;
+        let mut peak = 0usize;
+        for burst in 1..=4u64 {
+            // One whole burst lands in a single, not yet reached tick.
+            let base = (burst * 5) << BUCKET_SHIFT;
+            for _ in 0..BURST {
+                let t = base + rng.gen_range(0..1u64 << BUCKET_SHIFT);
+                cal.push(t, Event::Sample(tag));
+                heap.push(t, Event::Sample(tag));
+                tag += 1;
+            }
+            peak = peak.max(cal.len());
+            while !cal.is_empty() {
+                now = pop_both(&mut cal, &mut heap);
+            }
+        }
+        // A steady trickle (a few thousand pending events, far below a
+        // burst) spread over the whole window, running for at least three
+        // more laps of the cursor and until it has touched every bucket.
+        let window = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        let end = now + 3 * window;
+        let mut touched = vec![false; NUM_BUCKETS];
+        while now < end || touched.contains(&false) {
+            while cal.len() < 4_000 {
+                let t = now + rng.gen_range(0..window);
+                touched[((t >> BUCKET_SHIFT) & BUCKET_MASK) as usize] = true;
+                cal.push(t, Event::Sample(tag));
+                heap.push(t, Event::Sample(tag));
+                tag += 1;
+            }
+            peak = peak.max(cal.len());
+            now = pop_both(&mut cal, &mut heap);
+        }
+        let bound = peak.div_ceil(CHUNK) * CHUNK + NUM_BUCKETS * CHUNK;
+        assert!(
+            cal.stored_slots() <= bound,
+            "{} stored slots for a peak of {peak} pending events (bound {bound})",
+            cal.stored_slots()
+        );
+    }
+
+    /// Buckets holding one less, exactly, and one more than a chunk, with
+    /// pushes behind a peek-advanced cursor in between, pop in the
+    /// reference heap's order.
+    #[test]
+    fn chunk_boundaries_match_reference_heap() {
+        let mut rng = SmallRng::seed_from_u64(0xC4_0B0D);
+        let mut cal = EventQueue::new();
+        let mut heap = ReferenceHeapQueue::new();
+        let mut now: Time = 0;
+        let mut tag = 0u32;
+        let tick_ns = 1u64 << BUCKET_SHIFT;
+        for round in 0..200u64 {
+            // Fill the next few ticks with chunk-boundary bucket sizes.
+            let first = (now >> BUCKET_SHIFT) + 1 + round % 3;
+            for (k, n) in [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 1]
+                .into_iter()
+                .enumerate()
+            {
+                let tick = first + 2 * k as u64;
+                for _ in 0..n {
+                    let t = (tick << BUCKET_SHIFT) + rng.gen_range(0..tick_ns);
+                    cal.push(t, Event::Sample(tag));
+                    heap.push(t, Event::Sample(tag));
+                    tag += 1;
+                }
+            }
+            // Advance the cursor without popping, then push behind it.
+            let head = cal.peek_time().expect("non-empty");
+            for _ in 0..rng.gen_range(0..CHUNK as u32 + 2) {
+                let t = rng.gen_range(now..=head);
+                cal.push(t, Event::Sample(tag));
+                heap.push(t, Event::Sample(tag));
+                tag += 1;
+            }
+            // Drain part of the queue, so later rounds reuse freed chunks
+            // while older buckets are still pending.
+            for _ in 0..rng.gen_range(CHUNK..4 * CHUNK) {
+                if cal.is_empty() {
+                    break;
+                }
+                now = pop_both(&mut cal, &mut heap);
+            }
+            assert_eq!(cal.len(), heap.len());
+        }
+        while !cal.is_empty() {
+            pop_both(&mut cal, &mut heap);
         }
         assert!(heap.pop().is_none());
     }
