@@ -54,7 +54,9 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
     );
     benches.extend([calendar, heap, speedup]);
 
-    // End-to-end engine throughput on one incast experiment. The profiler
+    // End-to-end engine throughput on one incast experiment, in packet
+    // transmissions per second (a count the scheduler's event mix does not
+    // change, so the rows keep measuring the same work). The profiler
     // ships disabled by default, so this row doubles as the gate on the
     // profiler's disabled-path (one branch per hook) overhead.
     benches.push(incast_step_rate(quick));
@@ -80,7 +82,7 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
 
     // Macrobench: engine throughput and peak memory on a multi-site fabric
     // (quick: 4×k=16 = 4096 hosts; full: 4×k=32 = 32768 hosts). Gates the
-    // struct-of-arrays tables' flat-memory and events/sec-at-scale claims.
+    // struct-of-arrays tables' flat-memory and throughput-at-scale claims.
     let (scale_rate, scale_rss) = scale_benches(quick);
     benches.extend([scale_rate, scale_rss]);
 
@@ -294,9 +296,9 @@ fn best_of(reps: usize, name: &str, mut run: impl FnMut() -> RateMeter) -> Bench
 // End-to-end benches
 // ---------------------------------------------------------------------------
 
-/// Engine events/sec on a mixed intra+inter incast (the simulator's own
-/// run-loop meter, so this measures dispatch + transport + queueing, not
-/// just the scheduler). On the default lossy fabric this is also the gate
+/// Packet transmissions (`link.tx_packets`) per CPU second on a mixed
+/// intra+inter incast: dispatch + transport + queueing, not just the
+/// scheduler. On the default lossy fabric this is also the gate
 /// on the PFC-disabled hot path: the pause machinery must cost nothing
 /// beyond one predictable branch per transmit when the fabric is lossy.
 fn incast_step_rate(quick: bool) -> BenchResult {
@@ -321,7 +323,7 @@ fn incast_rate(name: &str, quick: bool, fabric: FabricMode) -> BenchResult {
     let specs = incast(4, 4, size, topo.hosts_per_dc() as u32);
     let mut best = 0.0f64;
     let mut total_wall = 0.0;
-    let mut events = 0;
+    let mut tx = 0;
     let mut pauses = 0;
     for _ in 0..3 {
         let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 1);
@@ -331,39 +333,40 @@ fn incast_rate(name: &str, quick: bool, fabric: FabricMode) -> BenchResult {
         let (r, nanos) = time_cpu(|| exp.run(120 * SECONDS));
         assert!(r.all_completed, "incast bench must run to completion");
         total_wall += r.manifest.wall_seconds;
-        events = r.manifest.events_processed;
+        tx = r.manifest.counters.get("link.tx_packets");
         pauses = r.manifest.counters.get("pfc.pauses");
-        best = best.max(events as f64 * 1e9 / nanos as f64);
+        best = best.max(tx as f64 * 1e9 / nanos as f64);
     }
     match fabric {
         FabricMode::Lossy => assert_eq!(pauses, 0, "lossy bench must not touch PFC"),
         FabricMode::Lossless => assert!(pauses > 0, "lossless bench must exercise PFC"),
     }
     eprintln!(
-        "[uno-perfkit] {name}: {:.2} Mevents/s ({events} events, {pauses} pauses, best of 3)",
+        "[uno-perfkit] {name}: {:.2} Mpackets/s ({tx} packets, {pauses} pauses, best of 3)",
         best / 1e6,
     );
     BenchResult {
         name: name.to_string(),
         value: best,
-        unit: "events/sec".to_string(),
+        unit: "packets/sec".to_string(),
         higher_is_better: true,
         gated: true,
         wall_seconds: total_wall,
     }
 }
 
-/// Engine events/sec on an incast whose every flow crosses the border
-/// (`incast(0, 8, …)`): each one runs the UnoRC coded transport, so the
-/// event mix is dominated by per-delivery ACK/NACK processing and block
-/// completion/settling — exactly the path the settled-block latch batches.
+/// Packet transmissions per CPU second on an incast whose every flow
+/// crosses the border (`incast(0, 8, …)`): each one runs the UnoRC coded
+/// transport, so the work is dominated by per-delivery ACK/NACK processing
+/// and block completion/settling — exactly the path the settled-block
+/// latch batches.
 fn transport_step_rate(quick: bool) -> BenchResult {
     let topo = TopologyParams::small();
     let size: u64 = if quick { 16 << 20 } else { 128 << 20 };
     let specs = incast(0, 8, size, topo.hosts_per_dc() as u32);
     let mut best = 0.0f64;
     let mut total_wall = 0.0;
-    let mut events = 0;
+    let mut tx = 0;
     for _ in 0..3 {
         let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 1);
         cfg.topo = topo.clone();
@@ -372,17 +375,17 @@ fn transport_step_rate(quick: bool) -> BenchResult {
         let (r, nanos) = time_cpu(|| exp.run(120 * SECONDS));
         assert!(r.all_completed, "transport bench must run to completion");
         total_wall += r.manifest.wall_seconds;
-        events = r.manifest.events_processed;
-        best = best.max(events as f64 * 1e9 / nanos as f64);
+        tx = r.manifest.counters.get("link.tx_packets");
+        best = best.max(tx as f64 * 1e9 / nanos as f64);
     }
     eprintln!(
-        "[uno-perfkit] transport_step_rate: {:.2} Mevents/s ({events} events, best of 3)",
+        "[uno-perfkit] transport_step_rate: {:.2} Mpackets/s ({tx} packets, best of 3)",
         best / 1e6,
     );
     BenchResult {
         name: "transport_step_rate".to_string(),
         value: best,
-        unit: "events/sec".to_string(),
+        unit: "packets/sec".to_string(),
         higher_is_better: true,
         gated: true,
         wall_seconds: total_wall,
@@ -589,24 +592,25 @@ fn incast_profiled_rate(quick: bool) -> BenchResult {
         );
         assert!(r.profile.is_some(), "profile section must be collected");
         total_wall += r.manifest.wall_seconds;
-        best = best.max(r.manifest.events_processed as f64 * 1e9 / nanos as f64);
+        let tx = r.manifest.counters.get("link.tx_packets");
+        best = best.max(tx as f64 * 1e9 / nanos as f64);
     }
     eprintln!(
-        "[uno-perfkit] incast_profiled_rate: {:.2} Mevents/s (best of 3)",
+        "[uno-perfkit] incast_profiled_rate: {:.2} Mpackets/s (best of 3)",
         best / 1e6,
     );
     BenchResult {
         name: "incast_profiled_rate".to_string(),
         value: best,
-        unit: "events/sec".to_string(),
+        unit: "packets/sec".to_string(),
         higher_is_better: true,
         gated: true,
         wall_seconds: total_wall,
     }
 }
 
-/// Events/sec and peak RSS on a multi-site incast at scale. One rep: the
-/// run is long enough (tens of millions of events) that rep-to-rep noise
+/// Packet transmissions per CPU second and peak RSS on a multi-site incast
+/// at scale. One rep: the run is long enough that rep-to-rep noise
 /// is small, and peak RSS is a property of the run, not the fastest rep.
 ///
 /// The incast fans 16 intra senders (spread across DC0's pods) and 4
@@ -657,13 +661,13 @@ fn scale_benches(quick: bool) -> (BenchResult, BenchResult) {
     let (r, nanos) = time_cpu(|| exp.run(600 * SECONDS));
     let wall = started.elapsed().as_secs_f64();
     assert!(r.all_completed, "scale bench must run to completion");
-    let rate = r.manifest.events_processed as f64 * 1e9 / nanos as f64;
+    let tx = r.manifest.counters.get("link.tx_packets");
+    let rate = tx as f64 * 1e9 / nanos as f64;
     let rss = peak_rss_kib();
     eprintln!(
-        "[uno-perfkit] scale_step_rate ({label}): {:.2} Mevents/s ({} events), \
+        "[uno-perfkit] scale_step_rate ({label}): {:.2} Mpackets/s ({tx} packets), \
          peak RSS {:.1} MiB{}",
         rate / 1e6,
-        r.manifest.events_processed,
         rss as f64 / 1024.0,
         if isolated { "" } else { " (process-wide)" },
     );
@@ -671,7 +675,7 @@ fn scale_benches(quick: bool) -> (BenchResult, BenchResult) {
         BenchResult {
             name: "scale_step_rate".to_string(),
             value: rate,
-            unit: "events/sec".to_string(),
+            unit: "packets/sec".to_string(),
             higher_is_better: true,
             gated: true,
             wall_seconds: wall,

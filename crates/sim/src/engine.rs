@@ -719,7 +719,7 @@ impl Simulator {
         match ev {
             Event::Arrive(link, pkt, epoch) => self.handle_arrive(link, pkt, epoch),
             Event::LinkFree(link) => {
-                self.topo.links.set_busy(link, false);
+                self.topo.links.note_free(link);
                 if self.topo.links.is_up(link) && !self.topo.links.queue(link).is_empty() {
                     self.start_transmit(link);
                 }
@@ -790,7 +790,7 @@ impl Simulator {
                 // transmission if packets queued while it was blocked.
                 if released
                     && self.topo.links.is_up(link)
-                    && !self.topo.links.busy(link)
+                    && !self.link_busy(link)
                     && !self.topo.links.queue(link).is_empty()
                 {
                     self.start_transmit(link);
@@ -910,8 +910,22 @@ impl Simulator {
     /// Restore `link` and kick transmission if packets queued meanwhile.
     fn bring_link_up(&mut self, link: LinkId) {
         self.topo.links.set_up(link, true);
-        if !self.topo.links.busy(link) && !self.topo.links.queue(link).is_empty() {
+        if !self.link_busy(link) && !self.topo.links.queue(link).is_empty() {
             self.start_transmit(link);
+        }
+    }
+
+    /// True while `link`'s transmitter is serializing a packet.
+    fn link_busy(&self, link: LinkId) -> bool {
+        self.topo.links.busy(link, self.events.last_popped())
+    }
+
+    /// A packet waits behind `link`'s busy transmitter: schedule its
+    /// `LinkFree` under the key reserved at transmit start, unless that is
+    /// already done.
+    fn wake_when_free(&mut self, link: LinkId) {
+        if let Some((at, seq)) = self.topo.links.claim_free_event(link) {
+            self.events.push_reserved(at, seq, Event::LinkFree(link));
         }
     }
 
@@ -1086,9 +1100,11 @@ impl Simulator {
         }
     }
 
-    /// Enqueue `pkt` on `link`'s egress queue, kicking transmission if idle.
+    /// Enqueue `pkt` on `link`'s egress queue, kicking transmission if idle
+    /// and otherwise waking the link when its transmitter frees.
     fn enqueue_on(&mut self, link: LinkId, pkt: Packet) {
         let now = self.now;
+        let idle = !self.link_busy(link);
         let links = &mut self.topo.links;
         if !links.is_up(link) {
             links.note_lost(link, 1);
@@ -1104,7 +1120,6 @@ impl Simulator {
         }
         let (flow, seq, size) = (pkt.flow.0, pkt.seq, pkt.size);
         let outcome = links.queue_mut(link).try_enqueue(pkt, now, &mut self.rng);
-        let idle = !links.busy(link);
         if self.tracer.enabled() {
             let qlen = links.queue(link).bytes();
             match outcome {
@@ -1147,6 +1162,8 @@ impl Simulator {
             }
             if idle {
                 self.start_transmit(link);
+            } else {
+                self.wake_when_free(link);
             }
         }
     }
@@ -1173,7 +1190,6 @@ impl Simulator {
             links.bps(link)
         };
         let ser = serialization_time(pkt.size as u64, bps);
-        links.set_busy(link, true);
         links.note_tx(link, pkt.size as u64);
         // Delay faults add fixed latency plus uniform per-packet jitter.
         let mut delay = links.delay(link) + health.extra_delay;
@@ -1189,7 +1205,14 @@ impl Simulator {
                 seq: pkt.seq,
             });
         }
-        self.events.push(self.now + ser, Event::LinkFree(link));
+        // The transmitter frees at `now + ser`. Its `LinkFree` is scheduled
+        // only if a packet waits by then (here or in `enqueue_on`), under a
+        // seq reserved now, so it pops exactly where an eager push would.
+        let seq = self.events.reserve_seq();
+        links.start_tx(link, (self.now + ser, seq));
+        if !links.queue(link).is_empty() {
+            self.wake_when_free(link);
+        }
         self.events
             .push(self.now + ser + delay, Event::Arrive(link, pkt, epoch));
         if release_pause {
@@ -2036,6 +2059,315 @@ mod tests {
         let c = sim.counter_snapshot();
         assert_eq!(c.get("flow.stalled"), 1);
         assert_eq!(c.get("flow.aborted"), 0);
+    }
+
+    /// Every link's traced dequeues against a FIFO mirror of its queue: a
+    /// packet starts exactly when it was enqueued or when the previous one
+    /// finished serializing, whichever is later — no overlapping
+    /// transmissions and no idle gap while a packet waits. Holds while no
+    /// PFC pause stalls a link. Returns the dequeue times per link.
+    fn assert_work_conserving(sim: &Simulator) -> Vec<Vec<Time>> {
+        use std::collections::VecDeque;
+        let links = &sim.topo.links;
+        let ser = |l: LinkId, size: u32| {
+            let factor = links.health(l).capacity_factor;
+            let bps = if factor < 1.0 {
+                ((links.bps(l) as f64 * factor) as u64).max(1)
+            } else {
+                links.bps(l)
+            };
+            serialization_time(size as u64, bps)
+        };
+        let mut queued: Vec<VecDeque<(u32, u64, u32, Time)>> = vec![VecDeque::new(); links.len()];
+        let mut free: Vec<Time> = vec![0; links.len()];
+        let mut starts: Vec<Vec<Time>> = vec![Vec::new(); links.len()];
+        for ev in sim.tracer.ring_events() {
+            match ev {
+                TraceEvent::Enqueue {
+                    t,
+                    link,
+                    flow,
+                    seq,
+                    size,
+                    ..
+                } => queued[link as usize].push_back((flow, seq, size, t)),
+                TraceEvent::QueueClear { link, .. } => queued[link as usize].clear(),
+                TraceEvent::Dequeue { t, link, flow, seq } => {
+                    let l = link as usize;
+                    let (f, s, size, enq) =
+                        queued[l].pop_front().expect("dequeue of a queued packet");
+                    assert_eq!((f, s), (flow, seq), "link {link} is FIFO");
+                    assert_eq!(
+                        t,
+                        enq.max(free[l]),
+                        "link {link}: start of flow {flow} seq {seq}"
+                    );
+                    free[l] = t + ser(LinkId(link), size);
+                    starts[l].push(t);
+                }
+                _ => {}
+            }
+        }
+        starts
+    }
+
+    /// A flow logic that accepts packets and does nothing.
+    struct Sink;
+
+    impl FlowLogic for Sink {
+        fn on_start(&mut self, _ctx: &mut Ctx) {}
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx) {}
+        fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx) {}
+    }
+
+    /// A traced simulator with one `Sink` flow from host 0 to host 1 of the
+    /// same edge switch. Returns the sender's uplink and the edge switch's
+    /// downlink to the receiver, plus a data packet maker.
+    fn edge_hop_sim() -> (Simulator, LinkId, LinkId, impl Fn(u64) -> Packet) {
+        let mut sim = small_sim(48);
+        sim.set_tracer(Tracer::ring(100_000));
+        let (src, dst) = (sim.topo.host(0, 0), sim.topo.host(0, 1));
+        let flow = sim.add_flow(
+            FlowMeta {
+                src,
+                dst,
+                size: 4096,
+                start: 0,
+                class: FlowClass::Intra,
+            },
+            Box::new(Sink),
+        );
+        let pkt = move |seq| Packet::data(flow, seq, 4096, src, dst);
+        let up = sim.topo.host_uplink(src);
+        let down = sim
+            .topo
+            .route(sim.topo.links.to(up), &pkt(0))
+            .expect("edge routes to its own host");
+        (sim, up, down, pkt)
+    }
+
+    /// An uncontended packet finds every transmitter idle, so no hop ever
+    /// schedules a `LinkFree`: FlowStart plus one `Arrive` per hop of the
+    /// data packet and its ACK.
+    #[test]
+    fn uncontended_packet_schedules_no_link_free() {
+        let mut sim = small_sim(49);
+        sim.set_tracer(Tracer::ring(1024));
+        let (src, dst) = (sim.topo.host(0, 0), sim.topo.host(0, 1));
+        one_pkt_flow(&mut sim, src, dst, FlowClass::Intra);
+        assert!(sim.run_to_completion(crate::time::SECONDS));
+        assert_eq!(sim.network_stats().tx_packets, 4, "2 hops each way");
+        assert_eq!(sim.events_processed, 1 + 4);
+        assert_work_conserving(&sim);
+    }
+
+    /// Back-to-back line-rate packets into the edge switch: the second
+    /// packet's `Arrive` lands exactly when the downlink frees. Pushed
+    /// before the downlink's transmission starts, it pops first and waits
+    /// for a (lazily scheduled) `LinkFree`; pushed after, it pops after the
+    /// free key and finds the link idle with no `LinkFree` at all. Either
+    /// way the downlink sends at `T` and `T + ser`, with no overlap or gap.
+    #[test]
+    fn arrive_tied_with_link_free_in_both_seq_orders() {
+        const T: Time = 1000;
+        for arrive_first in [true, false] {
+            let (mut sim, up, down, pkt) = edge_hop_sim();
+            let ser = serialization_time(4096, sim.topo.links.bps(down));
+            assert_eq!(ser, serialization_time(4096, sim.topo.links.bps(up)));
+            sim.events.push(T, Event::Arrive(up, pkt(0), 0));
+            if arrive_first {
+                sim.events.push(T + ser, Event::Arrive(up, pkt(1), 0));
+            } else {
+                sim.run_until(T);
+                assert!(sim.link_busy(down), "the downlink took packet 0 at T");
+                sim.events.push(T + ser, Event::Arrive(up, pkt(1), 0));
+            }
+            sim.run_until(crate::time::MILLIS);
+            let starts = assert_work_conserving(&sim);
+            assert_eq!(
+                starts[down.index()],
+                vec![T, T + ser],
+                "arrive_first {arrive_first}"
+            );
+            // FlowStart, two Arrives on each hop, and a LinkFree only when
+            // packet 1 had to wait.
+            let link_frees = u64::from(arrive_first);
+            assert_eq!(sim.events_processed, 5 + link_frees);
+        }
+    }
+
+    /// Link down and up while a lazily scheduled `LinkFree` is pending: the
+    /// waiting packet is purged, a packet queued after recovery is sent
+    /// when the original transmission would have ended, and the pending
+    /// `LinkFree` is not scheduled twice.
+    #[test]
+    fn link_flap_while_link_free_pending() {
+        const T: Time = 1000;
+        let (mut sim, up, down, pkt) = edge_hop_sim();
+        let ser = serialization_time(4096, sim.topo.links.bps(down));
+        sim.events.push(T, Event::Arrive(up, pkt(0), 0));
+        sim.events.push(T + 10, Event::Arrive(up, pkt(1), 0)); // waits
+        sim.events.push(T + 20, Event::LinkDown(down)); // purges packet 1
+        sim.events.push(T + 30, Event::LinkUp(down));
+        sim.events.push(T + 40, Event::Arrive(up, pkt(2), 0)); // waits
+        sim.events.push(T + 50, Event::Arrive(up, pkt(3), 0)); // waits
+        sim.run_until(T + 50);
+        assert!(sim.link_busy(down) && sim.topo.links.queue(down).len() == 2);
+        sim.run_until(crate::time::MILLIS);
+        let starts = assert_work_conserving(&sim);
+        assert_eq!(starts[down.index()], vec![T, T + ser, T + 2 * ser]);
+        assert_eq!(sim.topo.links.queue(down).drops, 1, "packet 1 purged");
+        // Packet 0 departed before the failure and dies on arrival.
+        assert_eq!(sim.topo.links.lost_packets(down), 1 + 1);
+        // FlowStart, 4 uplink Arrives, 3 downlink Arrives, 2 LinkFrees
+        // (packets 2 and 3 each wait once), 2 link transitions.
+        assert_eq!(sim.events_processed, 1 + 4 + 3 + 2 + 2);
+    }
+
+    /// A link that is down when its pending `LinkFree` pops stays quiet;
+    /// once up again, the next packet finds the transmitter idle.
+    #[test]
+    fn link_down_across_pending_link_free() {
+        const T: Time = 1000;
+        let (mut sim, up, down, pkt) = edge_hop_sim();
+        let ser = serialization_time(4096, sim.topo.links.bps(down));
+        sim.events.push(T, Event::Arrive(up, pkt(0), 0));
+        sim.events.push(T + 10, Event::Arrive(up, pkt(1), 0)); // waits
+        sim.events.push(T + 20, Event::LinkDown(down));
+        sim.events.push(T + 2 * ser, Event::LinkUp(down));
+        sim.events.push(T + 3 * ser, Event::Arrive(up, pkt(2), 0));
+        sim.run_until(crate::time::MILLIS);
+        let starts = assert_work_conserving(&sim);
+        assert_eq!(starts[down.index()], vec![T, T + 3 * ser]);
+        // The LinkFree scheduled for packet 1 still pops (on a dead link).
+        assert_eq!(sim.events_processed, 1 + 3 + 2 + 1 + 2);
+    }
+
+    /// PFC pause and resume around a pending `LinkFree`: a pause that
+    /// covers the free time holds the waiting packet until the resume; a
+    /// pause released before the free time costs nothing.
+    #[test]
+    fn pfc_pause_around_pending_link_free() {
+        const T: Time = 1000;
+        for resume_after_free in [true, false] {
+            let (mut sim, up, down, pkt) = edge_hop_sim();
+            let ser = serialization_time(4096, sim.topo.links.bps(down));
+            let resume = if resume_after_free {
+                T + 3 * ser
+            } else {
+                T + ser / 2
+            };
+            sim.events.push(T, Event::Arrive(up, pkt(0), 0));
+            sim.events.push(T + 10, Event::Arrive(up, pkt(1), 0)); // waits
+            let (link, by) = (down, up);
+            sim.events
+                .push(T + 20, Event::PfcPause { link, by, depth: 1 });
+            sim.events.push(resume, Event::PfcResume { link, by });
+            sim.run_until(crate::time::MILLIS);
+            assert!(!sim.topo.links.paused(down));
+            let starts: Vec<Time> = sim
+                .tracer
+                .ring_events()
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Dequeue { t, link, .. } if link == down.0 => Some(t),
+                    _ => None,
+                })
+                .collect();
+            let second = if resume_after_free { resume } else { T + ser };
+            assert_eq!(starts, vec![T, second], "resume at {resume}");
+            // FlowStart, 2 Arrives per hop, pause, resume, one LinkFree.
+            assert_eq!(sim.events_processed, 1 + 4 + 2 + 1);
+        }
+    }
+
+    /// A degraded downlink (half rate) behind a full-rate uplink: packets
+    /// queue at the edge, and every other `Arrive` ties a downlink free
+    /// time. The downlink must still send back to back at its degraded
+    /// rate.
+    #[test]
+    fn degraded_downlink_stays_work_conserving() {
+        use crate::fault::FaultTarget;
+        let mut sim = small_sim(50);
+        sim.set_tracer(Tracer::ring(100_000));
+        let (src, dst) = (sim.topo.host(0, 0), sim.topo.host(0, 1));
+        let up = sim.topo.host_uplink(src);
+        let probe = Packet::data(FlowId(0), 0, 4096, src, dst);
+        let down = sim.topo.route(sim.topo.links.to(up), &probe).unwrap();
+        sim.install_faults(&spec_one(
+            FaultTarget::Link { id: down.0 },
+            FaultKind::Degraded { factor: 0.5 },
+            None,
+        ))
+        .unwrap();
+        sim.add_flow(
+            FlowMeta {
+                src,
+                dst,
+                size: 40 * 4096,
+                start: 0,
+                class: FlowClass::Intra,
+            },
+            Box::new(Blaster {
+                src,
+                dst,
+                n: 40,
+                acked: 0,
+                mtu: 4096,
+            }),
+        );
+        assert!(sim.run_to_completion(crate::time::SECONDS));
+        let starts = assert_work_conserving(&sim);
+        let slow = serialization_time(4096, sim.topo.links.bps(down) / 2);
+        let d = &starts[down.index()];
+        assert_eq!(d.len(), 40);
+        assert!(d.windows(2).all(|w| w[1] - w[0] == slow), "{d:?}");
+    }
+
+    /// Per-packet jitter reorders arrivals at the next hop; the
+    /// transmitters stay work-conserving and the run stays deterministic.
+    #[test]
+    fn jittered_link_stays_work_conserving() {
+        use crate::fault::FaultTarget;
+        let run = || {
+            let mut sim = small_sim(51);
+            sim.set_tracer(Tracer::ring(100_000));
+            let (src, dst) = (sim.topo.host(0, 0), sim.topo.host(0, 8));
+            let up = sim.topo.host_uplink(src);
+            sim.install_faults(&spec_one(
+                FaultTarget::Link { id: up.0 },
+                FaultKind::Delay {
+                    extra: 0,
+                    jitter: 2 * MICROS,
+                },
+                None,
+            ))
+            .unwrap();
+            sim.add_flow(
+                FlowMeta {
+                    src,
+                    dst,
+                    size: 100 * 4096,
+                    start: 0,
+                    class: FlowClass::Intra,
+                },
+                Box::new(Blaster {
+                    src,
+                    dst,
+                    n: 100,
+                    acked: 0,
+                    mtu: 4096,
+                }),
+            );
+            assert!(sim.run_to_completion(crate::time::SECONDS));
+            assert_work_conserving(&sim);
+            (
+                sim.events_processed,
+                sim.fcts[0].fct(),
+                sim.counter_snapshot().to_json(),
+            )
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -46,6 +46,10 @@ use crate::time::Time;
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A link finished serializing a packet; start the next one if queued.
+    /// Scheduled only once a packet waits behind the transmitter, under the
+    /// key reserved when the transmission started (see
+    /// `EventQueue::reserve_seq`): an idle finish needs no event, and a
+    /// late-scheduled one still pops exactly where an eager one would.
     LinkFree(LinkId),
     /// A packet reaches the far end of a link (post propagation). Carries
     /// the link's failure epoch at transmission time: if the link went down
@@ -97,6 +101,9 @@ pub enum Event {
         by: LinkId,
     },
 }
+
+/// An event's position in the total pop order: `(time, seq)`.
+pub(crate) type EventKey = (Time, u64);
 
 /// Nanoseconds per bucket, as a shift (1.024 µs).
 const BUCKET_SHIFT: u32 = 10;
@@ -187,9 +194,10 @@ pub struct EventQueue {
     /// migrate into the wheel when the cursor catches up.
     overflow: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
-    /// Largest time ever popped: the queue's notion of "now". Pushes are
-    /// never scheduled before it (see [`EventQueue::push`]).
-    floor: Time,
+    /// Key of the last popped event (`None` before the first pop): the
+    /// queue's notion of "now". Its time is the floor that pushes are never
+    /// scheduled before (see [`EventQueue::push`]).
+    last: Option<EventKey>,
     len: usize,
 }
 
@@ -213,7 +221,7 @@ impl EventQueue {
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             next_seq: 0,
-            floor: 0,
+            last: None,
             len: 0,
         }
     }
@@ -226,15 +234,50 @@ impl EventQueue {
     /// it is clamped to the queue floor here — scheduling *at* the floor is
     /// fine and orders after already-queued events of the same time (FIFO).
     pub fn push(&mut self, time: Time, event: Event) {
+        let floor = self.floor();
         debug_assert!(
-            time >= self.floor,
-            "event scheduled at {time} ns, before the queue floor {} ns",
-            self.floor
+            time >= floor,
+            "event scheduled at {time} ns, before the queue floor {floor} ns"
         );
-        let time = time.max(self.floor);
+        let seq = self.reserve_seq();
+        self.insert(Entry {
+            time: time.max(floor),
+            seq,
+            event,
+        });
+    }
+
+    /// Take the sequence number the next [`EventQueue::push`] would use,
+    /// without scheduling anything. An event later pushed under it with
+    /// [`EventQueue::push_reserved`] pops exactly where it would have popped
+    /// had it been pushed now: before every event pushed after the
+    /// reservation at the same time.
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let e = Entry { time, seq, event };
+        seq
+    }
+
+    /// Schedule `event` under the key `(time, seq)`, where `seq` came from
+    /// [`EventQueue::reserve_seq`] and was not used before. The key must
+    /// still be ahead of the last popped event.
+    pub(crate) fn push_reserved(&mut self, time: Time, seq: u64, event: Event) {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        debug_assert!(
+            self.last < Some((time, seq)),
+            "reserved key ({time}, {seq}) is not after the last popped key {:?}",
+            self.last
+        );
+        self.insert(Entry { time, seq, event });
+    }
+
+    /// Time of the last popped event (0 before the first pop).
+    fn floor(&self) -> Time {
+        self.last.map_or(0, |(t, _)| t)
+    }
+
+    /// File an entry whose key is not before the last popped key.
+    fn insert(&mut self, e: Entry) {
         self.len += 1;
         if self.cursor_tick.is_some_and(|ct| e.tick() <= ct) {
             // Schedule-at-now (and anything else at or before the cursor
@@ -263,8 +306,14 @@ impl EventQueue {
         }
         let Reverse(e) = self.cursor.pop().expect("normalized cursor non-empty");
         self.len -= 1;
-        self.floor = e.time;
+        self.last = Some((e.time, e.seq));
         Some((e.time, e.event))
+    }
+
+    /// Key of the last popped event (`None` before the first pop). While
+    /// the engine handles an event, this is that event's key.
+    pub(crate) fn last_popped(&self) -> Option<EventKey> {
+        self.last
     }
 
     /// Time of the earliest pending event.
@@ -439,8 +488,17 @@ impl ReferenceHeapQueue {
     }
 
     pub(crate) fn push(&mut self, time: Time, event: Event) {
+        let seq = self.reserve_seq();
+        self.push_reserved(time, seq, event);
+    }
+
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    pub(crate) fn push_reserved(&mut self, time: Time, seq: u64, event: Event) {
         self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
@@ -717,6 +775,151 @@ mod tests {
             pop_both(&mut cal, &mut heap);
         }
         assert!(heap.pop().is_none());
+    }
+
+    /// Where a just-filed entry landed: the cursor heap, a wheel bucket or
+    /// the overflow heap, by which of the three grew.
+    fn placement(q: &EventQueue, before: (usize, usize, usize)) -> &'static str {
+        match (
+            q.cursor.len() - before.0,
+            q.wheel_len - before.1,
+            q.overflow.len() - before.2,
+        ) {
+            (1, 0, 0) => "cursor",
+            (0, 1, 0) => "wheel",
+            (0, 0, 1) => "overflow",
+            d => panic!("entry filed nowhere or twice: {d:?}"),
+        }
+    }
+
+    fn sizes(q: &EventQueue) -> (usize, usize, usize) {
+        (q.cursor.len(), q.wheel_len, q.overflow.len())
+    }
+
+    /// A reserved seq is older than every event pushed after the
+    /// reservation, so at equal times it pops before them, wherever its
+    /// entry is filed: the cursor heap, a wheel bucket or the overflow heap.
+    #[test]
+    fn reserved_seq_pops_before_later_same_time_events() {
+        let window = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        for (at, expect) in [
+            (5_000, "cursor"),
+            (9_000, "wheel"),
+            (3 * window, "overflow"),
+        ] {
+            let mut q = EventQueue::new();
+            q.push(5_000, Event::Sample(100));
+            let seq = q.reserve_seq();
+            q.push(at, Event::Sample(1));
+            q.push(at, Event::Sample(2));
+            assert_eq!(q.pop().unwrap().0, 5_000); // cursor now at 5 µs's tick
+            let before = sizes(&q);
+            q.push_reserved(at, seq, Event::Sample(0));
+            assert_eq!(placement(&q, before), expect, "reserved key at {at}");
+            let order: Vec<u32> = std::iter::from_fn(|| {
+                q.pop().map(|(t, e)| {
+                    assert_eq!(t, at);
+                    match e {
+                        Event::Sample(s) => s,
+                        e => panic!("unexpected {e:?}"),
+                    }
+                })
+            })
+            .collect();
+            assert_eq!(order, vec![0, 1, 2], "reserved key at {at}");
+            assert_eq!(q.last_popped(), Some((at, 3)));
+        }
+    }
+
+    /// Reserved keys filed into buckets holding one less, exactly, and one
+    /// more than a chunk of ordinary entries (and into the cursor heap and
+    /// overflow heap), pop in the reference heap's order; reservations the
+    /// clock passes are never pushed, like a `LinkFree` with nothing
+    /// waiting.
+    #[test]
+    fn reserved_keys_match_reference_heap() {
+        let mut rng = SmallRng::seed_from_u64(0x2E5E_2FED);
+        let mut cal = EventQueue::new();
+        let mut heap = ReferenceHeapQueue::new();
+        let mut now: Time = 0;
+        let mut tag = 0u32;
+        let mut reserved: Vec<(Time, u64)> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        let tick_ns = 1u64 << BUCKET_SHIFT;
+        let window = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        for round in 0..300u64 {
+            let first = (now >> BUCKET_SHIFT) + 1 + round % 3;
+            for (k, n) in [CHUNK - 1, CHUNK, CHUNK + 1, 1].into_iter().enumerate() {
+                let tick = first + 2 * k as u64;
+                for _ in 0..n {
+                    // Coarse times, so reserved and ordinary keys tie.
+                    let t = (tick << BUCKET_SHIFT) + rng.gen_range(0..4u64) * (tick_ns / 4);
+                    if rng.gen_bool(0.2) {
+                        let seq = cal.reserve_seq();
+                        assert_eq!(seq, heap.reserve_seq(), "seq streams diverged");
+                        reserved.push((t, seq));
+                    } else {
+                        cal.push(t, Event::Sample(tag));
+                        heap.push(t, Event::Sample(tag));
+                        tag += 1;
+                    }
+                }
+            }
+            // Reservations at the current time and beyond the window.
+            for t in [now, now + 2 * window + rng.gen_range(0..window)] {
+                let seq = cal.reserve_seq();
+                assert_eq!(seq, heap.reserve_seq());
+                reserved.push((t, seq));
+            }
+            // Pop a little, so the cursor sits inside a tick, then push a
+            // random subset of the reservations still ahead of the clock.
+            for _ in 0..rng.gen_range(1..CHUNK) {
+                if cal.is_empty() {
+                    break;
+                }
+                now = pop_both(&mut cal, &mut heap);
+            }
+            let clock = cal.last_popped();
+            reserved.retain(|&key| Some(key) > clock);
+            let mut i = 0;
+            while i < reserved.len() {
+                if rng.gen_bool(0.5) {
+                    let (t, seq) = reserved.swap_remove(i);
+                    let before = sizes(&cal);
+                    cal.push_reserved(t, seq, Event::Sample(tag));
+                    seen.insert(placement(&cal, before));
+                    heap.push_reserved(t, seq, Event::Sample(tag));
+                    tag += 1;
+                } else {
+                    i += 1;
+                }
+            }
+            for _ in 0..rng.gen_range(CHUNK..4 * CHUNK) {
+                if cal.is_empty() {
+                    break;
+                }
+                now = pop_both(&mut cal, &mut heap);
+            }
+            assert_eq!(cal.len(), heap.len());
+        }
+        while !cal.is_empty() {
+            pop_both(&mut cal, &mut heap);
+        }
+        assert!(heap.pop().is_none());
+        let mut seen: Vec<_> = seen.into_iter().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, ["cursor", "overflow", "wheel"]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not after the last popped key")]
+    fn reserved_key_behind_the_clock_is_refused() {
+        let mut q = EventQueue::new();
+        let seq = q.reserve_seq();
+        q.push(10, Event::Sample(0));
+        q.pop();
+        q.push_reserved(10, seq, Event::Sample(1)); // (10, 0) < (10, 1)
     }
 
     /// The satellite differential oracle: 1M randomized (time, seq)

@@ -1,7 +1,7 @@
 //! Struct-of-arrays entity tables for the hot simulation state.
 //!
 //! The engine's inner loops touch one or two fields of one entity per event
-//! (a queue, a busy flag, an epoch), so entity state is stored as dense
+//! (a queue, a free key, an epoch), so entity state is stored as dense
 //! parallel `Vec`s indexed directly by the typed ids from [`crate::ids`]
 //! rather than as arrays of structs or id-keyed maps. Every table is
 //! interned once — links and forwarding state at topology-build time, flows
@@ -21,6 +21,7 @@
 //!   state as parallel columns, replacing `Vec<FlowSlot>`.
 
 use crate::engine::{FlowLogic, FlowMeta, FlowOutcome};
+use crate::event::EventKey;
 use crate::fault::LinkHealth;
 use crate::ids::{LinkId, NodeId};
 use crate::loss::GilbertElliott;
@@ -41,8 +42,13 @@ pub struct LinkTable {
     delay: Vec<Time>,
     class: Vec<LinkClass>,
     queue: Vec<PortQueue>,
-    /// True while a packet is serializing onto the wire.
-    busy: Vec<bool>,
+    /// Event key at which the transmitter finishes its current packet: the
+    /// key reserved for its `LinkFree`. The link is busy until the
+    /// scheduler pops past it.
+    free_at: Vec<EventKey>,
+    /// True once that `LinkFree` is scheduled (a packet is waiting behind
+    /// the transmitter); cleared when it pops.
+    free_pending: Vec<bool>,
     /// False while the link is failed.
     up: Vec<bool>,
     /// Bumped on every down transition; in-flight packets carry the epoch
@@ -100,7 +106,8 @@ impl LinkTable {
         self.delay.push(delay);
         self.class.push(class);
         self.queue.push(queue);
-        self.busy.push(false);
+        self.free_at.push((0, 0));
+        self.free_pending.push(false);
         self.up.push(true);
         self.epoch.push(0);
         self.health.push(LinkHealth::default());
@@ -161,14 +168,35 @@ impl LinkTable {
         self.up[l.index()] = up;
     }
 
-    /// True while a packet occupies the transmitter.
-    pub fn busy(&self, l: LinkId) -> bool {
-        self.busy[l.index()]
+    /// True while a packet occupies the transmitter, i.e. while `clock`
+    /// (the key of the event being handled, `EventQueue::last_popped`) is
+    /// before the transmitter's free key. A `LinkFree` at that key pops, or
+    /// would pop, exactly when this turns false. Nothing transmits before
+    /// the first pop.
+    pub(crate) fn busy(&self, l: LinkId, clock: Option<EventKey>) -> bool {
+        clock.is_some_and(|c| c < self.free_at[l.index()])
     }
 
-    /// Set the transmitter-busy flag.
-    pub fn set_busy(&mut self, l: LinkId, busy: bool) {
-        self.busy[l.index()] = busy;
+    /// A transmission started: the transmitter frees at event key `free`.
+    pub(crate) fn start_tx(&mut self, l: LinkId, free: EventKey) {
+        debug_assert!(!self.free_pending[l.index()], "{l} restarted early");
+        self.free_at[l.index()] = free;
+    }
+
+    /// A packet waits behind the transmitter: returns the free key if its
+    /// `LinkFree` still has to be scheduled (once per transmission).
+    pub(crate) fn claim_free_event(&mut self, l: LinkId) -> Option<EventKey> {
+        let i = l.index();
+        if std::mem::replace(&mut self.free_pending[i], true) {
+            None
+        } else {
+            Some(self.free_at[i])
+        }
+    }
+
+    /// The transmitter's `LinkFree` popped.
+    pub(crate) fn note_free(&mut self, l: LinkId) {
+        self.free_pending[l.index()] = false;
     }
 
     /// Current failure epoch.
@@ -529,11 +557,17 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert_eq!((t.from(l), t.to(l)), (NodeId(3), NodeId(7)));
         assert_eq!((t.bps(l), t.delay(l)), (100, 500));
-        assert!(t.is_up(l) && !t.busy(l));
-        t.set_busy(l, true);
+        assert!(t.is_up(l) && !t.busy(l, None) && !t.busy(l, Some((0, 0))));
+        t.start_tx(l, (900, 4));
         t.set_up(l, false);
         t.bump_epoch(l);
-        assert!(t.busy(l) && !t.is_up(l));
+        assert!(t.busy(l, Some((900, 3))) && !t.is_up(l));
+        assert!(!t.busy(l, Some((900, 4))) && !t.busy(l, Some((901, 0))));
+        assert_eq!(t.claim_free_event(l), Some((900, 4)));
+        assert_eq!(t.claim_free_event(l), None, "scheduled once");
+        t.note_free(l);
+        t.start_tx(l, (2000, 9));
+        assert_eq!(t.claim_free_event(l), Some((2000, 9)));
         assert_eq!(t.epoch(l), 1);
         t.note_tx(l, 1500);
         t.note_tx(l, 500);
