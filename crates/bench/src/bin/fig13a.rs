@@ -15,7 +15,7 @@
 
 use uno::metrics::{OutcomeCounts, ViolinSummary};
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, MILLIS, SECONDS};
-use uno::{DegradationConfig, Experiment, ExperimentConfig};
+use uno::{Experiment, ExperimentConfig};
 use uno_bench::{run_seeds_parallel, usage_error, HarnessArgs};
 use uno_workloads::FlowSpec;
 
@@ -124,7 +124,7 @@ fn main() {
             if variant != FaultVariant::Hard {
                 // Gray variants can permanently starve a flow; degrade it
                 // to a definite outcome instead of censoring at the horizon.
-                cfg.degradation = Some(DegradationConfig::default());
+                cfg.degradation = true;
             }
             let mut exp = Experiment::new(cfg);
             for i in 0..n_flows {

@@ -10,7 +10,7 @@
 use rand::{Rng, SeedableRng};
 use uno::metrics::ViolinSummary;
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, GilbertElliott, MILLIS, SECONDS};
-use uno::{DegradationConfig, Experiment, ExperimentConfig};
+use uno::{Experiment, ExperimentConfig};
 use uno_bench::{run_seeds_parallel, HarnessArgs};
 use uno_workloads::{allreduce_ideal_time, allreduce_iteration};
 
@@ -37,7 +37,7 @@ fn main() {
             cfg.topo = topo.clone();
             // Under failure + loss an iteration can wedge; degrade wedged
             // flows to a definite outcome instead of burning the horizon.
-            cfg.degradation = Some(DegradationConfig::default());
+            cfg.degradation = true;
             let mut exp = Experiment::new(cfg);
             let specs = allreduce_iteration(groups, volume, topo.hosts_per_dc() as u32, &mut rng);
             exp.add_specs(&specs);

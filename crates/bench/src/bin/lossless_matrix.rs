@@ -21,7 +21,7 @@ use uno::metrics::OutcomeCounts;
 use uno::sim::{
     FabricMode, FaultEntry, FaultKind, FaultSpec, FaultTarget, FlowClass, MILLIS, SECONDS,
 };
-use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec};
+use uno::{Experiment, ExperimentConfig, SchemeSpec};
 use uno_bench::{run_seeds_parallel, usage_error, HarnessArgs};
 use uno_workloads::FlowSpec;
 
@@ -203,7 +203,7 @@ fn run_cell(
     if fault != FaultCol::None {
         // Gray variants can permanently starve a flow; degrade it to a
         // definite outcome instead of censoring at the horizon.
-        cfg.degradation = Some(DegradationConfig::default());
+        cfg.degradation = true;
     }
     let mut exp = Experiment::new(cfg);
     // Inter-DC transfers crossing the (possibly sick) border.

@@ -11,7 +11,7 @@
 //! optional failure/loss injection; results (per-flow FCTs plus aggregate
 //! statistics and the run manifest) are printed as JSON on stdout, ready for
 //! plotting. `--trace <path>` streams a structured JSONL event trace (see
-//! `uno-trace-summarize`), optionally gated by a `--trace-filter` spec.
+//! `uno-inspect trace`), optionally gated by a `--trace-filter` spec.
 
 use serde::{Deserialize, Serialize, Value};
 use uno::metrics::OutcomeCounts;
@@ -19,7 +19,7 @@ use uno::sim::{
     FabricMode, FaultSpec, GilbertElliott, PfcParams, RunManifest, SampleConfig, Time,
     TopologyParams, TraceConfig, Tracer, MICROS, MILLIS, SECONDS,
 };
-use uno::{DegradationConfig, Experiment, ExperimentConfig, SchemeSpec};
+use uno::{Experiment, ExperimentConfig, SchemeSpec};
 use uno_erasure::EcParams;
 use uno_transport::{LbMode, PlbParams};
 use uno_workloads::{incast, permutation, poisson_mix, Cdf, FlowSpec, PoissonMixParams};
@@ -409,7 +409,7 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
     if has_faults {
         // Under injected faults every flow must reach a definite outcome
         // instead of retrying into the horizon.
-        cfg.degradation = Some(DegradationConfig::default());
+        cfg.degradation = true;
     }
     let horizon: Time = (sc.horizon_ms * MILLIS).max(SECONDS / 100);
     if opts.telemetry {

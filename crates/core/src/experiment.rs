@@ -32,12 +32,13 @@ pub struct ExperimentConfig {
     /// Test-only fault injection applied to every flow's transport (all off
     /// by default; `uno-testkit` arms these to validate its checkers).
     pub faults: FaultInjection,
-    /// Graceful-degradation knobs (stall watchdog + bounded-retry abort)
-    /// applied to every flow's transport. `None` keeps the legacy behaviour:
-    /// flows under a permanent fault retry until the horizon and show up as
-    /// censored FCTs. Fault-injecting drivers should enable this so such
-    /// flows terminate with a definite [`uno_sim::FlowOutcome`] instead.
-    pub degradation: Option<DegradationConfig>,
+    /// Arm graceful degradation on every flow's transport: a stall
+    /// watchdog checking every 8 RTOs and an abort after 12 consecutive
+    /// zero-progress RTOs. Off keeps the legacy
+    /// behaviour: flows under a permanent fault retry until the horizon and
+    /// show up as censored FCTs. Fault-injecting drivers should enable this
+    /// so such flows terminate with a definite [`uno_sim::FlowOutcome`].
+    pub degradation: bool,
     /// Periodic in-sim telemetry sampling (link queues, per-flow transport
     /// state, fault plane); `None` records nothing. The collected series
     /// land in [`ExperimentResults::telemetry`], deterministic per seed.
@@ -48,24 +49,11 @@ pub struct ExperimentConfig {
     pub profile: bool,
 }
 
-/// Per-flow graceful-degradation knobs (see [`FlowConfig::with_degradation`]).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct DegradationConfig {
-    /// Watchdog check period in RTOs; two consecutive zero-progress checks
-    /// declare the flow stalled.
-    pub stall_rtos: u32,
-    /// Consecutive zero-progress RTOs before the sender aborts.
-    pub max_rto_retries: u32,
-}
-
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            stall_rtos: 8,
-            max_rto_retries: 12,
-        }
-    }
-}
+/// Degradation watchdog period in RTOs: two consecutive zero-progress
+/// checks declare the flow stalled.
+const STALL_RTOS: u32 = 8;
+/// Consecutive zero-progress RTOs before a degraded sender aborts.
+const MAX_RTO_RETRIES: u32 = 12;
 
 impl ExperimentConfig {
     /// Config over the paper's full topology.
@@ -76,7 +64,7 @@ impl ExperimentConfig {
             seed,
             record_progress: false,
             faults: FaultInjection::default(),
-            degradation: None,
+            degradation: false,
             telemetry: None,
             profile: false,
         }
@@ -90,7 +78,7 @@ impl ExperimentConfig {
             seed,
             record_progress: false,
             faults: FaultInjection::default(),
-            degradation: None,
+            degradation: false,
             telemetry: None,
             profile: false,
         }
@@ -242,8 +230,8 @@ impl Experiment {
         };
         fc.block_timeout = base_rtt;
         fc.faults = self.cfg.faults;
-        if let Some(d) = self.cfg.degradation {
-            fc = fc.with_degradation(d.stall_rtos, d.max_rto_retries);
+        if self.cfg.degradation {
+            fc = fc.with_degradation(STALL_RTOS, MAX_RTO_RETRIES);
         }
 
         let flow = MessageFlow::new(fc, cc);
@@ -449,7 +437,7 @@ mod tests {
     fn faulted_run_terminates_with_definite_outcomes() {
         use uno_sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, FlowOutcome};
         let mut cfg = ExperimentConfig::quick(SchemeSpec::uno(), 21);
-        cfg.degradation = Some(DegradationConfig::default());
+        cfg.degradation = true;
         let mut e = Experiment::new(cfg);
         // Permanently blackhole the reverse border direction: inter-DC data
         // arrives but its ACKs never return (an asymmetric gray failure).

@@ -43,9 +43,7 @@ pub mod analysis;
 pub mod experiment;
 pub mod scheme;
 
-pub use experiment::{
-    dup_thresh_for, ideal_fct, DegradationConfig, Experiment, ExperimentConfig, ExperimentResults,
-};
+pub use experiment::{dup_thresh_for, ideal_fct, Experiment, ExperimentConfig, ExperimentResults};
 pub use scheme::{CcKind, SchemeSpec};
 
 // Re-export the substrate crates under one roof for downstream users.

@@ -1,11 +1,9 @@
 //! The benchmark suite: event-queue microbenches, an end-to-end incast
 //! step-rate bench, and the fig08-slice sweep macrobench.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use uno::sim::event::{Event, EventQueue};
+use uno::sim::event::{Event, EventQueue, ReferenceHeapQueue};
 use uno::sim::{FabricMode, Time, TopologyParams, SECONDS};
 use uno::{Experiment, ExperimentConfig, SchemeSpec};
 use uno_bench::SweepRunner;
@@ -156,57 +154,6 @@ fn hold_dt(state: &mut u64) -> u64 {
     }
 }
 
-/// The engine's pre-calendar scheduler: a `(time, seq)`-ordered binary heap
-/// carrying the same `Event` payloads, kept here as the microbench
-/// comparison point. (The `uno-sim` copy is `#[cfg(test)]`-gated and not
-/// exported.)
-struct HeapQueue {
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-    next_seq: u64,
-}
-
-struct HeapEntry {
-    time: Time,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl HeapQueue {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-    #[inline]
-    fn push(&mut self, time: Time, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(HeapEntry { time, seq, event }));
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<(Time, Event)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
-    }
-}
-
 /// Number of (pop, push) pairs and held events for the hold-model bench.
 fn hold_params(quick: bool) -> (usize, usize) {
     if quick {
@@ -247,7 +194,7 @@ fn event_queue_pair(quick: bool) -> (BenchResult, BenchResult) {
 
     // Reference heap, identical workload, payloads, and RNG stream.
     let heap = best_of(QUEUE_REPS, "event_queue_heap", || {
-        let mut q = HeapQueue::new();
+        let mut q = ReferenceHeapQueue::new();
         let mut state = 0x5EED_0001u64;
         let mut t: Time = 0;
         for i in 0..hold {

@@ -162,8 +162,8 @@ impl Ord for Entry {
 ///
 /// Pops in strict `(time, seq)` order, where `seq` is the push order — the
 /// same contract the previous `BinaryHeap` scheduler provided (a replayed
-/// push/pop trace produces an identical pop order; `uno-sim`'s differential
-/// test holds the two implementations against each other).
+/// push/pop trace produces an identical pop order; the differential tests
+/// hold it against [`ReferenceHeapQueue`]).
 #[derive(Debug)]
 pub struct EventQueue {
     /// The wheel: bucket `i` holds entries whose tick ≡ `i` (mod
@@ -469,43 +469,49 @@ impl EventQueue {
     }
 }
 
-/// Reference scheduler: the original `BinaryHeap` implementation, kept as
-/// the differential oracle for the calendar queue (`tests` below replay
-/// randomized push/pop traces through both and require identical output).
-#[cfg(test)]
-pub(crate) struct ReferenceHeapQueue {
+/// Reference scheduler: the original `BinaryHeap` implementation, popping
+/// in the same `(time, seq)` order as [`EventQueue`]. It is the
+/// differential oracle for the calendar queue (`tests` below replay
+/// randomized push/pop traces through both and require identical output)
+/// and the comparison point of `uno-perfkit`'s `event_queue_heap` row.
+#[derive(Debug, Default)]
+pub struct ReferenceHeapQueue {
     heap: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
 }
 
-#[cfg(test)]
 impl ReferenceHeapQueue {
-    pub(crate) fn new() -> Self {
-        ReferenceHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
+    /// Empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    pub(crate) fn push(&mut self, time: Time, event: Event) {
+    /// Schedule `event` at `time`, after every event already at `time`.
+    #[inline]
+    pub fn push(&mut self, time: Time, event: Event) {
         let seq = self.reserve_seq();
         self.push_reserved(time, seq, event);
     }
 
+    #[inline]
     pub(crate) fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
     }
 
+    #[inline]
     pub(crate) fn push_reserved(&mut self, time: Time, seq: u64, event: Event) {
         self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
-    pub(crate) fn pop(&mut self) -> Option<(Time, Event)> {
+    /// Remove and return the earliest event.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Time, Event)> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }

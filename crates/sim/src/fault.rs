@@ -12,7 +12,7 @@
 //! the same seed yields byte-identical traces.
 //!
 //! Each transition emits a [`uno_trace::TraceEvent::FaultTransition`] and
-//! bumps the `fault.*` counters, so `uno-trace-summarize` and the testkit
+//! bumps the `fault.*` counters, so `uno-inspect trace` and the testkit
 //! invariants can see fault activity without knowing the schedule.
 
 use rand::rngs::SmallRng;

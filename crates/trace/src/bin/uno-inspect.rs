@@ -1,4 +1,5 @@
-//! `uno-inspect` — render a self-contained report of a run artifact.
+//! `uno-inspect` — render a self-contained report of a run artifact, or
+//! digest a JSONL trace.
 //!
 //! ```text
 //! uno-scenario sc.json --telemetry --profile > run.json
@@ -6,20 +7,28 @@
 //! uno-inspect run.json --html out.html  # self-contained HTML report
 //! uno-inspect run.json --collapsed out.folded   # flamegraph input
 //! uno-inspect diff a.json b.json        # compare two runs side by side
+//! uno-scenario sc.json --trace trace.jsonl > run.json
+//! uno-inspect trace trace.jsonl         # per-flow and per-queue tables
+//! uno-inspect trace trace.jsonl --json  # machine-readable digest
+//! uno-inspect trace trace.jsonl --cwnd 0   # cwnd timeline of flow 0
 //! ```
 //!
-//! The input is the JSON printed by `uno-scenario` (or any JSON carrying
-//! the same `manifest.counters` / `telemetry` / `profile` sections). The
-//! report shows counter tables, ASCII timelines of per-link queue depth
-//! and per-flow delivery rate, and the span profiler's
-//! inclusive/exclusive time breakdown. `--strict` exits non-zero unless
-//! every section is present and non-empty (used by the CI smoke lane).
+//! The run input is the JSON printed by `uno-scenario` (or any JSON
+//! carrying the same `manifest.counters` / `telemetry` / `profile`
+//! sections). The report shows counter tables, ASCII timelines of per-link
+//! queue depth and per-flow delivery rate, and the span profiler's
+//! inclusive/exclusive time breakdown. `--strict` fails unless every
+//! section is present and non-empty (used by the CI smoke lane). The
+//! `trace` subcommand renders a [`TraceSummary`] of a `--trace` file.
+//!
+//! Bad arguments print the usage line and exit 2; an unreadable or
+//! malformed input, a `--strict` failure or an absent `--cwnd` flow exits 1.
 
 use std::fmt::Write as _;
 use std::process::exit;
 
 use serde::Value;
-use uno_trace::ProfileReport;
+use uno_trace::{ProfileReport, TraceSummary};
 
 /// ASCII ramp used for timeline rendering (space = zero).
 const RAMP: &[u8] = b" .:-=+*#%@";
@@ -28,33 +37,51 @@ const WIDTH: usize = 64;
 /// Maximum link/flow series rendered per section.
 const TOP: usize = 8;
 
-fn die(msg: &str) -> ! {
+/// Bad arguments: print the usage line and exit 2.
+fn usage(msg: &str) -> ! {
     eprintln!("uno-inspect: {msg}");
     eprintln!(
         "usage: uno-inspect <run.json> [--html <out.html>] [--collapsed <out.folded>] [--strict]\n\
-         \x20      uno-inspect diff <a.json> <b.json>"
+         \x20      uno-inspect diff <a.json> <b.json>\n\
+         \x20      uno-inspect trace <trace.jsonl> [--json] [--cwnd FLOW]"
     );
+    exit(2);
+}
+
+/// Bad input or a failed check: exit 1 without the usage line.
+fn fail(msg: &str) -> ! {
+    eprintln!("uno-inspect: {msg}");
     exit(1);
 }
 
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")))
+}
+
 fn load(path: &str) -> Value {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    serde_json::parse_value(&text).unwrap_or_else(|e| die(&format!("invalid JSON in {path}: {e}")))
+    serde_json::parse_value(&read(path))
+        .unwrap_or_else(|e| fail(&format!("invalid JSON in {path}: {e}")))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("diff") {
-        if args.len() != 3 {
-            die("diff needs exactly two run files");
+    match args.first().map(String::as_str) {
+        Some("diff") => {
+            if args.len() != 3 {
+                usage("diff needs exactly two run files");
+            }
+            print!(
+                "{}",
+                render_diff(&load(&args[1]), &load(&args[2]), &args[1], &args[2])
+            );
         }
-        print!(
-            "{}",
-            render_diff(&load(&args[1]), &load(&args[2]), &args[1], &args[2])
-        );
-        return;
+        Some("trace") => trace(&args[1..]),
+        _ => report(&args),
     }
+}
+
+/// `uno-inspect <run.json> ...`: the run report and its optional exports.
+fn report(args: &[String]) {
     let mut path: Option<&str> = None;
     let mut html: Option<&str> = None;
     let mut collapsed: Option<&str> = None;
@@ -62,17 +89,20 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--html" => html = Some(it.next().unwrap_or_else(|| die("--html needs a path"))),
+            "--html" => html = Some(it.next().unwrap_or_else(|| usage("--html needs a path"))),
             "--collapsed" => {
-                collapsed = Some(it.next().unwrap_or_else(|| die("--collapsed needs a path")))
+                collapsed = Some(
+                    it.next()
+                        .unwrap_or_else(|| usage("--collapsed needs a path")),
+                )
             }
             "--strict" => strict = true,
             other if !other.starts_with("--") && path.is_none() => path = Some(other),
-            other => die(&format!("unknown argument `{other}`")),
+            other => usage(&format!("unknown argument `{other}`")),
         }
     }
     let Some(path) = path else {
-        die("no run file given");
+        usage("no run file given");
     };
     let run = load(path);
 
@@ -82,15 +112,63 @@ fn main() {
     print!("{}", render_report(&run, path));
     if let Some(out) = collapsed {
         let report = profile_of(&run)
-            .unwrap_or_else(|| die("run has no profile section (re-run with --profile)"));
+            .unwrap_or_else(|| fail("run has no profile section (re-run with --profile)"));
         std::fs::write(out, report.to_collapsed())
-            .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
         eprintln!("uno-inspect: collapsed stacks written to {out}");
     }
     if let Some(out) = html {
         std::fs::write(out, render_html(&run, path))
-            .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
         eprintln!("uno-inspect: HTML report written to {out}");
+    }
+}
+
+/// `uno-inspect trace <trace.jsonl> [--json] [--cwnd FLOW]`: digest a
+/// `--trace` file into tables, a JSON summary or one flow's cwnd timeline.
+fn trace(args: &[String]) {
+    let mut path = None;
+    let mut json = false;
+    let mut cwnd_flow: Option<u32> = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--json" => json = true,
+            "--cwnd" => {
+                cwnd_flow = Some(
+                    it.next()
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage("--cwnd needs a flow id")),
+                );
+            }
+            other if path.is_none() && !other.starts_with('-') => path = Some(other),
+            other => usage(&format!("unknown argument `{other}`")),
+        }
+    }
+    let Some(path) = path else {
+        usage("no trace file given");
+    };
+    let summary = TraceSummary::from_jsonl(&read(path))
+        .unwrap_or_else(|e| fail(&format!("malformed trace {path}: {e}")));
+    if summary.skipped_lines > 0 {
+        eprintln!(
+            "uno-inspect: warning: skipped {} malformed line(s) in {path}",
+            summary.skipped_lines
+        );
+    }
+
+    if let Some(flow) = cwnd_flow {
+        let Some(f) = summary.flows.iter().find(|f| f.flow == flow) else {
+            fail(&format!("flow {flow} not present in trace"));
+        };
+        println!("t_ns cwnd_bytes");
+        for (t, w) in &f.cwnd {
+            println!("{t} {w:.0}");
+        }
+    } else if json {
+        println!("{}", serde_json::to_string_pretty(&summary).unwrap());
+    } else {
+        print!("{}", summary.render());
     }
 }
 
@@ -110,11 +188,10 @@ fn enforce_strict(run: &Value) {
         missing.push("profile");
     }
     if !missing.is_empty() {
-        eprintln!(
-            "uno-inspect: --strict: empty or missing section(s): {}",
+        fail(&format!(
+            "--strict: empty or missing section(s): {}",
             missing.join(", ")
-        );
-        exit(2);
+        ));
     }
 }
 

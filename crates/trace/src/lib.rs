@@ -33,10 +33,10 @@
 //!   spans and a one-branch disabled path, aggregated into a
 //!   [`ProfileReport`] (inclusive/exclusive table, collapsed-stack export).
 //!
-//! The `uno-trace-summarize` binary turns a JSONL trace back into per-flow
-//! cwnd/rate timelines and per-queue occupancy/mark tables; the
-//! `uno-inspect` binary renders a run artifact (counters, telemetry
-//! timelines, profile breakdown) and diffs two runs.
+//! The `uno-inspect` binary renders a run artifact (counters, telemetry
+//! timelines, profile breakdown), diffs two runs, and (`uno-inspect trace`)
+//! turns a JSONL trace back into per-flow cwnd/rate timelines and per-queue
+//! occupancy/mark tables.
 
 #![warn(missing_docs)]
 

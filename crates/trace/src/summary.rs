@@ -1,5 +1,5 @@
 //! Trace digestion: JSONL → per-flow and per-queue summaries (the library
-//! behind the `uno-trace-summarize` binary).
+//! behind `uno-inspect trace`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
