@@ -16,7 +16,7 @@
 use uno::metrics::{OutcomeCounts, ViolinSummary};
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, MILLIS, SECONDS};
 use uno::{Experiment, ExperimentConfig};
-use uno_bench::{run_seeds_parallel, usage_error, HarnessArgs};
+use uno_bench::{usage_error, HarnessArgs};
 use uno_workloads::FlowSpec;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,7 +118,7 @@ fn main() {
     for scheme in uno::SchemeSpec::fig13_matrix() {
         let name = scheme.name;
         let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
-        let results: Vec<(f64, OutcomeCounts)> = run_seeds_parallel(&seeds, |seed| {
+        let results: Vec<(f64, OutcomeCounts)> = args.sweep().run(seeds, |_, seed| {
             let mut cfg = ExperimentConfig::quick(scheme.clone(), seed);
             cfg.topo = topo.clone();
             if variant != FaultVariant::Hard {

@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use uno::metrics::ViolinSummary;
 use uno::sim::{FaultEntry, FaultKind, FaultSpec, FaultTarget, GilbertElliott, MILLIS, SECONDS};
 use uno::{Experiment, ExperimentConfig};
-use uno_bench::{run_seeds_parallel, HarnessArgs};
+use uno_bench::HarnessArgs;
 use uno_workloads::{allreduce_ideal_time, allreduce_iteration};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     for scheme in uno::SchemeSpec::fig13_matrix() {
         let name = scheme.name;
         let seeds: Vec<u64> = (0..iterations).map(|i| args.seed * 1000 + i).collect();
-        let ratios: Vec<f64> = run_seeds_parallel(&seeds, |seed| {
+        let ratios: Vec<f64> = args.sweep().run(seeds, |_, seed| {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             // Gradient burst volume per direction: 70..500 MiB (scaled).
             let volume = rng.gen_range((70u64 << 20)..(500u64 << 20)) / scale;

@@ -22,7 +22,7 @@ use uno::sim::{
     FabricMode, FaultEntry, FaultKind, FaultSpec, FaultTarget, FlowClass, MILLIS, SECONDS,
 };
 use uno::{Experiment, ExperimentConfig, SchemeSpec};
-use uno_bench::{run_seeds_parallel, usage_error, HarnessArgs};
+use uno_bench::{usage_error, HarnessArgs};
 use uno_workloads::FlowSpec;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,7 +134,7 @@ fn main() {
         for fabric in [FabricMode::Lossy, FabricMode::Lossless] {
             for &fault in &fault_cols {
                 let seeds: Vec<u64> = (0..runs).map(|i| args.seed + i).collect();
-                let cells: Vec<Cell> = run_seeds_parallel(&seeds, |seed| {
+                let cells: Vec<Cell> = args.sweep().run(seeds, |_, seed| {
                     run_cell(
                         scheme,
                         fabric,

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use uno::sim::{RunManifest, Time, TopologyParams, GBPS, SECONDS};
-use uno::{Experiment, ExperimentConfig, SchemeSpec};
+use uno::{Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
 use uno_workloads::FlowSpec;
 
 /// Manifests of every experiment this binary has run, drained by
@@ -256,74 +256,6 @@ pub fn run_experiment(
     r
 }
 
-/// Fans independent experiment cells — (scheme × load × seed) tuples, or
-/// anything else `Send` — across a rayon thread pool with **deterministic**
-/// semantics: results come back in cell order regardless of which worker
-/// finished first, and each cell derives its randomness from its own seed
-/// ([`cell_seed`]), never from thread identity or wall clock. Consequently
-/// `--jobs 1` and `--jobs 8` produce byte-identical per-cell results (the
-/// bench crate's `sweep_determinism` test holds the runner to this).
-///
-/// The simulator itself stays single-threaded; all parallelism lives here,
-/// across independent runs.
-pub struct SweepRunner {
-    pool: rayon::ThreadPool,
-}
-
-impl SweepRunner {
-    /// Runner with `jobs` worker threads (0 = one per available core).
-    pub fn new(jobs: usize) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build()
-            .expect("sweep thread pool");
-        SweepRunner { pool }
-    }
-
-    /// Worker threads this runner fans out across.
-    pub fn jobs(&self) -> usize {
-        self.pool.current_num_threads()
-    }
-
-    /// Run `f(index, cell)` for every cell, in parallel, collecting results
-    /// in cell order.
-    pub fn run<C, T, F>(&self, cells: Vec<C>, f: F) -> Vec<T>
-    where
-        C: Send,
-        T: Send,
-        F: Fn(usize, C) -> T + Sync,
-    {
-        use rayon::prelude::*;
-        self.pool.install(|| {
-            cells
-                .into_par_iter()
-                .enumerate()
-                .map(|(i, c)| f(i, c))
-                .collect()
-        })
-    }
-}
-
-/// Deterministic per-cell seed derivation: a splitmix64 finalizer over the
-/// base seed and the cell index. Cells get well-separated RNG streams that
-/// depend only on `(base, index)` — not on job count or execution order.
-pub fn cell_seed(base: u64, index: u64) -> u64 {
-    let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Run `f(seed)` for each seed in parallel, preserving order (convenience
-/// wrapper over [`SweepRunner`] with the default thread budget).
-pub fn run_seeds_parallel<T, F>(seeds: &[u64], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    SweepRunner::new(0).run(seeds.to_vec(), |_, s| f(s))
-}
-
 /// Human-readable bytes.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 30 {
@@ -348,30 +280,11 @@ mod tests {
 
     #[test]
     fn parallel_seed_runner_preserves_order() {
+        let argv = ["--jobs", "3"];
+        let (args, _) = HarnessArgs::parse_from(argv.iter().map(|s| s.to_string()));
         let seeds: Vec<u64> = (0..16).collect();
-        let out = run_seeds_parallel(&seeds, |s| s * 10);
+        let out = args.sweep().run(seeds, |_, s| s * 10);
         assert_eq!(out, (0..16).map(|s| s * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sweep_runner_orders_results_and_reports_jobs() {
-        let runner = SweepRunner::new(3);
-        assert_eq!(runner.jobs(), 3);
-        let cells: Vec<(u64, u64)> = (0..12).map(|i| (i, i * i)).collect();
-        let out = runner.run(cells.clone(), |idx, (a, b)| (idx, a + b));
-        let want: Vec<(usize, u64)> = cells.iter().map(|&(a, b)| (a as usize, a + b)).collect();
-        assert_eq!(out, want);
-    }
-
-    #[test]
-    fn cell_seed_is_deterministic_and_separated() {
-        assert_eq!(cell_seed(42, 0), cell_seed(42, 0));
-        let seeds: Vec<u64> = (0..64).map(|i| cell_seed(1, i)).collect();
-        let mut uniq = seeds.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), seeds.len(), "per-cell seeds must not collide");
-        assert_ne!(cell_seed(1, 0), cell_seed(2, 0), "base seed must matter");
     }
 
     #[test]
@@ -394,6 +307,7 @@ mod tests {
         let (args, extra) = HarnessArgs::parse_from(argv.iter().map(|s| s.to_string()));
         assert!(args.progress);
         assert_eq!(args.jobs, 2);
+        assert_eq!(args.sweep().jobs(), 2);
         assert!(extra.is_empty());
     }
 

@@ -8,8 +8,8 @@
 
 use uno::metrics::FctTable;
 use uno::sim::{SampleConfig, TopologyParams, MICROS, SECONDS};
-use uno::{Experiment, ExperimentConfig, SchemeSpec};
-use uno_bench::{run_experiment, SweepRunner};
+use uno::{Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
+use uno_bench::run_experiment;
 use uno_transport::LbMode;
 use uno_workloads::incast;
 

@@ -16,10 +16,10 @@
 use serde::{Deserialize, Serialize, Value};
 use uno::metrics::OutcomeCounts;
 use uno::sim::{
-    FabricMode, FaultSpec, GilbertElliott, PfcParams, RunManifest, SampleConfig, Time,
+    EngineCosts, FabricMode, FaultSpec, GilbertElliott, PfcParams, RunManifest, SampleConfig, Time,
     TopologyParams, TraceConfig, Tracer, MICROS, MILLIS, SECONDS,
 };
-use uno::{Experiment, ExperimentConfig, SchemeSpec};
+use uno::{Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
 use uno_erasure::EcParams;
 use uno_transport::{LbMode, PlbParams};
 use uno_workloads::{incast, permutation, poisson_mix, Cdf, FlowSpec, PoissonMixParams};
@@ -164,9 +164,9 @@ struct Output {
     /// Telemetry section (`--telemetry`): per-link/per-flow/fault series,
     /// byte-identical across repeated seeded runs.
     telemetry: Option<Value>,
-    /// Span-profiler report (`--profile`): wall-clock data, excluded from
+    /// The engine's per-stage cost table: wall-clock data, excluded from
     /// the determinism guarantee like `manifest.wall_seconds`.
-    profile: Option<Value>,
+    costs: EngineCosts,
 }
 
 /// Run options that live on the command line rather than in the scenario
@@ -176,7 +176,6 @@ struct RunOpts {
     telemetry: bool,
     /// Sampling period override in µs (default: horizon/1024, min 1 µs).
     telemetry_interval_us: Option<u64>,
-    profile: bool,
     progress: bool,
 }
 
@@ -205,7 +204,7 @@ fn die(msg: &str) -> ! {
     eprintln!(
         "usage: uno-scenario <scenario.json> [--faults <spec.json>] \
          [--seeds <n>] [--jobs <n>] \
-         [--telemetry] [--telemetry-interval-us <n>] [--profile] [--progress] \
+         [--telemetry] [--telemetry-interval-us <n>] [--progress] \
          [--trace <out.jsonl>] [--trace-filter <spec>] | --print-template"
     );
     std::process::exit(2);
@@ -234,7 +233,6 @@ fn main() {
                 );
                 opts.telemetry = true;
             }
-            "--profile" => opts.profile = true,
             "--progress" => opts.progress = true,
             "--faults" => {
                 faults_path = Some(args.next().unwrap_or_else(|| die("--faults needs a path")));
@@ -315,24 +313,14 @@ fn main() {
     println!("{}", serde_json::to_string_pretty(&outs).unwrap());
 }
 
-/// Run `sc` at `n` consecutive seeds (`sc.seed .. sc.seed + n`) across a
-/// `jobs`-wide thread pool (0 = one per core), preserving seed order.
+/// Run `sc` at `n` consecutive seeds (`sc.seed .. sc.seed + n`) across
+/// `jobs` worker threads (0 = one per core), preserving seed order.
 fn run_seed_sweep(sc: &Scenario, n: usize, jobs: usize, opts: RunOpts) -> Vec<Output> {
-    use rayon::prelude::*;
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(jobs)
-        .build()
-        .unwrap_or_else(|e| die(&format!("cannot build thread pool: {e}")));
     let cells: Vec<u64> = (0..n as u64).map(|i| sc.seed.wrapping_add(i)).collect();
-    pool.install(|| {
-        cells
-            .into_par_iter()
-            .map(|seed| {
-                let mut cell = sc.clone();
-                cell.seed = seed;
-                run_scenario(&cell, Tracer::disabled(), opts)
-            })
-            .collect()
+    SweepRunner::new(jobs).run(cells, |_, seed| {
+        let mut cell = sc.clone();
+        cell.seed = seed;
+        run_scenario(&cell, Tracer::disabled(), opts)
     })
 }
 
@@ -420,7 +408,6 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
             .unwrap_or_else(|| (horizon / 1024).max(MICROS));
         cfg.telemetry = Some(SampleConfig::every(interval));
     }
-    cfg.profile = opts.profile;
     let mut exp = Experiment::new(cfg);
     exp.sim.set_tracer(tracer);
     if opts.progress {
@@ -471,7 +458,7 @@ fn run_scenario(sc: &Scenario, tracer: Tracer, opts: RunOpts) -> Output {
         pfc_paused_ns: r.manifest.counters.get("pfc.paused_ns"),
         manifest: r.manifest,
         telemetry: r.telemetry,
-        profile: r.profile,
+        costs: r.costs,
     }
 }
 
@@ -642,10 +629,15 @@ mod tests {
                 },
             );
             // Wall-clock fields legitimately vary between runs; everything
-            // simulated must not.
+            // simulated must not, the cost table's event counts included.
             out.manifest.wall_seconds = 0.0;
             out.manifest.events_per_sec = 0.0;
-            serde_json::to_string(&out).unwrap()
+            let counts: Vec<u64> = out.costs.stages.iter().map(|s| s.events).collect();
+            let mut v = serde_json::parse_value(&serde_json::to_string(&out).unwrap()).unwrap();
+            if let Value::Object(fields) = &mut v {
+                fields.retain(|(k, _)| k != "costs");
+            }
+            format!("{}|{counts:?}", serde_json::to_string(&v).unwrap())
         };
         let a = run();
         let b = run();

@@ -6,8 +6,8 @@
 
 use serde::{Deserialize, Serialize, Value};
 use uno_sim::{
-    FailRecord, FctRecord, FlowClass, FlowId, FlowMeta, NetworkStats, PhantomParams, QueueSampler,
-    RunManifest, SampleConfig, Simulator, Time, Topology, TopologyParams, MILLIS,
+    EngineCosts, FailRecord, FctRecord, FlowClass, FlowId, FlowMeta, NetworkStats, PhantomParams,
+    QueueSampler, RunManifest, SampleConfig, Simulator, Time, Topology, TopologyParams, MILLIS,
 };
 use uno_transport::{
     Bbr, CcAlgorithm, CcConfig, FaultInjection, FlowConfig, Gemini, LbMode, MessageFlow, Mprdma,
@@ -43,10 +43,6 @@ pub struct ExperimentConfig {
     /// state, fault plane); `None` records nothing. The collected series
     /// land in [`ExperimentResults::telemetry`], deterministic per seed.
     pub telemetry: Option<SampleConfig>,
-    /// Enable the wall-clock span self-profiler; its report lands in
-    /// [`ExperimentResults::profile`] (non-deterministic, like
-    /// `manifest.wall_seconds`).
-    pub profile: bool,
 }
 
 /// Degradation watchdog period in RTOs: two consecutive zero-progress
@@ -66,7 +62,6 @@ impl ExperimentConfig {
             faults: FaultInjection::default(),
             degradation: false,
             telemetry: None,
-            profile: false,
         }
     }
 
@@ -80,7 +75,6 @@ impl ExperimentConfig {
             faults: FaultInjection::default(),
             degradation: false,
             telemetry: None,
-            profile: false,
         }
     }
 }
@@ -124,10 +118,10 @@ pub struct ExperimentResults {
     /// [`ExperimentConfig::telemetry`] was set): per-link/per-flow/fault
     /// series, byte-identical across repeated seeded runs.
     pub telemetry: Option<Value>,
-    /// Serialized span-profiler report (present when
-    /// [`ExperimentConfig::profile`] was set). Wall-clock data — excluded
-    /// from the determinism guarantee.
-    pub profile: Option<Value>,
+    /// The engine's per-stage cost table: exact event counts and sampled
+    /// wall-clock self times. Wall-clock data — excluded from the
+    /// determinism guarantee and from `manifest`.
+    pub costs: EngineCosts,
 }
 
 /// A configured simulation ready to accept flows and run.
@@ -152,9 +146,6 @@ impl Experiment {
         let mut sim = Simulator::new(topo, cfg.seed);
         if let Some(sample_cfg) = cfg.telemetry {
             sim.enable_telemetry(sample_cfg);
-        }
-        if cfg.profile {
-            sim.profiler.set_enabled(true);
         }
         Experiment { sim, cfg }
     }
@@ -264,13 +255,6 @@ impl Experiment {
         self.collect(all_completed)
     }
 
-    /// Run until `horizon` regardless of completion (open-loop workloads).
-    pub fn run_for(mut self, horizon: Time) -> ExperimentResults {
-        self.sim.run_until(horizon);
-        let done = self.sim.num_completed() == self.sim.num_flows() && self.sim.failures.is_empty();
-        self.collect(done)
-    }
-
     /// Build a run manifest from the simulator's current state. Also useful
     /// mid-run for drivers that never call [`Experiment::run`].
     pub fn manifest(&self) -> RunManifest {
@@ -283,10 +267,7 @@ impl Experiment {
         ExperimentResults {
             manifest,
             telemetry: sim.telemetry.as_ref().map(|t| t.to_value()),
-            profile: sim
-                .profiler
-                .is_enabled()
-                .then(|| sim.profiler.report().to_value()),
+            costs: sim.costs().clone(),
             scheme: cfg.scheme.name.to_string(),
             stats: sim.network_stats(),
             censored: sim.censored_fcts(),

@@ -42,9 +42,11 @@
 pub mod analysis;
 pub mod experiment;
 pub mod scheme;
+pub mod sweep;
 
 pub use experiment::{dup_thresh_for, ideal_fct, Experiment, ExperimentConfig, ExperimentResults};
 pub use scheme::{CcKind, SchemeSpec};
+pub use sweep::SweepRunner;
 
 // Re-export the substrate crates under one roof for downstream users.
 pub use uno_erasure as erasure;

@@ -5,10 +5,9 @@ use std::time::Instant;
 
 use uno::sim::event::{Event, EventQueue, ReferenceHeapQueue};
 use uno::sim::{FabricMode, Time, TopologyParams, SECONDS};
-use uno::{Experiment, ExperimentConfig, SchemeSpec};
-use uno_bench::SweepRunner;
+use uno::{Experiment, ExperimentConfig, SchemeSpec, SweepRunner};
 use uno_erasure::{gf256, CodecScratch, ReedSolomon, ShardPool};
-use uno_trace::{Profiler, RateMeter};
+use uno_trace::RateMeter;
 use uno_transport::LbMode;
 use uno_workloads::incast;
 
@@ -54,9 +53,8 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
 
     // End-to-end engine throughput on one incast experiment, in packet
     // transmissions per second (a count the scheduler's event mix does not
-    // change, so the rows keep measuring the same work). The profiler
-    // ships disabled by default, so this row doubles as the gate on the
-    // profiler's disabled-path (one branch per hook) overhead.
+    // change, so the rows keep measuring the same work). The engine's
+    // cost table is always on, so this row also gates its overhead.
     benches.push(incast_step_rate(quick));
     benches.push(lossless_step_rate(quick));
 
@@ -69,14 +67,6 @@ pub fn run_all(quick: bool, rev: String) -> PerfReport {
     // (8, 2) geometry, the preserved byte-at-a-time scalar baseline, and
     // the gated batch-over-scalar speedup ratio.
     benches.extend(rs_benches(quick));
-
-    // Self-profiler: span bookkeeping throughput when enabled (gated), and
-    // the same incast experiment run with the profiler on (informational —
-    // read next to `incast_step_rate` for the enabled-path overhead).
-    benches.push(profiler_span_rate(quick));
-    let mut profiled = incast_profiled_rate(quick);
-    profiled.gated = false;
-    benches.push(profiled);
 
     // Macrobench: engine throughput and peak memory on a multi-site fabric
     // (quick: 4×k=16 = 4096 hosts; full: 4×k=32 = 32768 hosts). Gates the
@@ -486,74 +476,6 @@ fn rs_benches(quick: bool) -> Vec<BenchResult> {
         "batch encode bytes/sec over preserved scalar-path bytes/sec",
     );
     vec![encode, scalar, decode, speedup]
-}
-
-/// Enabled-profiler span bookkeeping: enter/exit pairs per second over the
-/// engine's real span shapes (flat scheduler spans plus nested transport →
-/// UnoRC block spans, which exercise the child-lookup path).
-fn profiler_span_rate(quick: bool) -> BenchResult {
-    let pairs: usize = if quick { 2_000_000 } else { 8_000_000 };
-    best_of(QUEUE_REPS, "profiler_span_rate", || {
-        let mut p = Profiler::enabled();
-        let (_, nanos) = time_cpu(|| {
-            for _ in 0..pairs / 4 {
-                p.enter("scheduler");
-                p.exit();
-                p.enter("transport");
-                p.enter("rc_block_ack");
-                p.exit();
-                p.exit();
-                p.enter("telemetry");
-                p.exit();
-            }
-        });
-        assert!(
-            p.report().total_ns > 0,
-            "enabled profiler must accumulate time"
-        );
-        let mut meter = RateMeter::new();
-        meter.record_nanos(pairs as u64, nanos);
-        meter
-    })
-}
-
-/// The `incast_step_rate` experiment with the span profiler enabled: the
-/// gap to `incast_step_rate` is the enabled-path overhead. Informational —
-/// the absolute value tracks the host too closely to gate.
-fn incast_profiled_rate(quick: bool) -> BenchResult {
-    let topo = TopologyParams::small();
-    let size: u64 = if quick { 16 << 20 } else { 128 << 20 };
-    let specs = incast(4, 4, size, topo.hosts_per_dc() as u32);
-    let mut best = 0.0f64;
-    let mut total_wall = 0.0;
-    for _ in 0..3 {
-        let mut cfg = ExperimentConfig::quick(SchemeSpec::uno().with_lb(LbMode::Spray), 1);
-        cfg.topo = topo.clone();
-        cfg.profile = true;
-        let mut exp = Experiment::new(cfg);
-        exp.add_specs(&specs);
-        let (r, nanos) = time_cpu(|| exp.run(120 * SECONDS));
-        assert!(
-            r.all_completed,
-            "profiled incast bench must run to completion"
-        );
-        assert!(r.profile.is_some(), "profile section must be collected");
-        total_wall += r.manifest.wall_seconds;
-        let tx = r.manifest.counters.get("link.tx_packets");
-        best = best.max(tx as f64 * 1e9 / nanos as f64);
-    }
-    eprintln!(
-        "[uno-perfkit] incast_profiled_rate: {:.2} Mpackets/s (best of 3)",
-        best / 1e6,
-    );
-    BenchResult {
-        name: "incast_profiled_rate".to_string(),
-        value: best,
-        unit: "packets/sec".to_string(),
-        higher_is_better: true,
-        gated: true,
-        wall_seconds: total_wall,
-    }
 }
 
 /// Packet transmissions per CPU second and peak RSS on a multi-site incast

@@ -16,7 +16,7 @@
 //!   (8, 2) geometry, plus the preserved byte-at-a-time scalar encoder and
 //!   the gated batch-over-scalar speedup ratio;
 //! * **fig08 slice** — wall-clock for a scheme × scenario FCT sweep run
-//!   sequentially and through the parallel [`SweepRunner`], plus the
+//!   sequentially and through the parallel [`uno::SweepRunner`], plus the
 //!   resulting speedup.
 //!
 //! `uno-perfkit compare` fails (non-zero exit) when any benchmark regresses

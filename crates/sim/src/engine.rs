@@ -8,13 +8,14 @@
 //! engine free of protocol knowledge and the protocols free of borrow
 //! entanglement with engine internals.
 
+use std::time::Instant;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use uno_trace::{
-    Counters, FlowSample, Profiler, RateMeter, SampleConfig, Telemetry, TraceEvent, Tracer,
-};
+use uno_trace::{Counters, FlowSample, RateMeter, SampleConfig, Telemetry, TraceEvent, Tracer};
 
+use crate::costs::{EngineCosts, Stage, Tick};
 use crate::event::{Event, EventQueue};
 use crate::fault::{exp_dwell, FaultKind, FaultPlane, FaultSpec, LinkHealth};
 use crate::ids::{FlowId, LinkId, NodeId};
@@ -167,10 +168,6 @@ pub struct Ctx<'a> {
     /// Structured event sink (branch on [`Tracer::enabled`] before building
     /// events — see [`Ctx::tracing`]).
     pub tracer: &'a mut Tracer,
-    /// Span self-profiler: transports may nest their own spans (e.g.
-    /// UnoRC block bookkeeping) under the engine's `transport` span. With
-    /// profiling off, [`Profiler::enter`]/[`Profiler::exit`] are one branch.
-    pub profiler: &'a mut Profiler,
     actions: &'a mut Vec<Action>,
 }
 
@@ -222,13 +219,7 @@ impl Ctx<'_> {
     /// Record a structured trace event.
     #[inline]
     pub fn trace(&mut self, ev: TraceEvent) {
-        if self.profiler.is_enabled() {
-            self.profiler.enter("trace");
-            self.tracer.emit(ev);
-            self.profiler.exit();
-        } else {
-            self.tracer.emit(ev);
-        }
+        self.tracer.emit(ev);
     }
 }
 
@@ -340,16 +331,11 @@ pub struct Simulator {
     pub events_processed: u64,
     /// Structured event sink (defaults to disabled; see [`Tracer`]).
     pub tracer: Tracer,
-    /// Engine-speed meter: events processed per wall-clock second spent
-    /// inside [`Simulator::run_until`] (consumed by run manifests and
-    /// `uno-perfkit`).
-    meter: RateMeter,
     /// Periodic telemetry collector (absent unless
     /// [`Simulator::enable_telemetry`] was called).
     pub telemetry: Option<Telemetry>,
-    /// Span self-profiler (disabled by default: every span site is a
-    /// single branch until [`Profiler::set_enabled`] switches it on).
-    pub profiler: Profiler,
+    /// Always-on per-stage cost table (see [`crate::costs`]).
+    costs: EngineCosts,
     /// Progress-heartbeat state (absent unless
     /// [`Simulator::set_heartbeat`] was called).
     heartbeat: Option<Heartbeat>,
@@ -357,11 +343,11 @@ pub struct Simulator {
 
 /// Wall-clock progress-heartbeat state: prints a one-line status to stderr
 /// at a wall interval. Reads the wall clock but never writes simulated
-/// state, so it stays outside the determinism guarantee like the meter.
+/// state, so it stays outside the determinism guarantee like the cost table.
 struct Heartbeat {
     interval: std::time::Duration,
-    started: std::time::Instant,
-    last: std::time::Instant,
+    started: Instant,
+    last: Instant,
     last_events: u64,
 }
 
@@ -383,7 +369,7 @@ impl Heartbeat {
             events_processed,
             queued()
         );
-        self.last = std::time::Instant::now();
+        self.last = Instant::now();
         self.last_events = events_processed;
     }
 }
@@ -406,9 +392,8 @@ impl Simulator {
             action_pool: Vec::new(),
             events_processed: 0,
             tracer: Tracer::disabled(),
-            meter: RateMeter::new(),
             telemetry: None,
-            profiler: Profiler::disabled(),
+            costs: EngineCosts::new(),
             heartbeat: None,
         }
     }
@@ -456,11 +441,6 @@ impl Simulator {
         self.flows.push(meta, logic, record_progress);
         self.progress.push(Vec::new());
         id
-    }
-
-    /// Metadata of flow `id`.
-    pub fn flow_meta(&self, id: FlowId) -> &FlowMeta {
-        self.flows.meta(id.index())
     }
 
     /// Records for flows that have **not** completed, with `end` set to the
@@ -555,8 +535,8 @@ impl Simulator {
     pub fn set_heartbeat(&mut self, interval: std::time::Duration) {
         self.heartbeat = Some(Heartbeat {
             interval,
-            started: std::time::Instant::now(),
-            last: std::time::Instant::now(),
+            started: Instant::now(),
+            last: Instant::now(),
             last_events: 0,
         });
     }
@@ -657,41 +637,56 @@ impl Simulator {
 
     /// Wall-clock seconds spent inside the run loop so far.
     pub fn wall_seconds(&self) -> f64 {
-        self.meter.seconds()
+        self.costs.loop_ns as f64 / 1e9
     }
 
     /// Engine throughput: events processed per wall-clock second (0 before
     /// the first [`Simulator::run_until`] call).
     pub fn events_per_sec(&self) -> f64 {
-        self.meter.per_sec()
+        let mut meter = RateMeter::new();
+        meter.record_nanos(self.events_processed, self.costs.loop_ns);
+        meter.per_sec()
+    }
+
+    /// The per-stage cost table of the run loop so far.
+    pub fn costs(&self) -> &EngineCosts {
+        &self.costs
     }
 
     /// Process events until simulated time exceeds `end` (which becomes the
     /// new `now`), the event queue drains, or all flows complete.
     pub fn run_until(&mut self, end: Time) {
-        // Wall-clock policy: `Instant::now` feeds only the engine-speed
-        // meters ([`Simulator::wall_seconds`] / [`Simulator::events_per_sec`],
+        // Wall-clock policy: the wall clock feeds only the cost table (and
+        // through it [`Simulator::wall_seconds`] / [`Simulator::events_per_sec`],
         // consumed by run manifests). It must never influence simulated
         // state, which is driven exclusively by the virtual clock `self.now`
-        // — `uno-testkit`'s wallclock-determinism test enforces this.
-        let wall_start = std::time::Instant::now();
-        let events_before = self.events_processed;
+        // — `uno-testkit`'s wallclock-determinism test enforces this. Which
+        // events are timed depends only on the event count.
+        let wall_start = Instant::now();
         let mut all_done = false;
         loop {
-            // Scheduler span: time spent peeking/popping the event queue.
-            self.profiler.enter("scheduler");
+            let t0 = EngineCosts::due(self.events_processed).then(Tick::now);
             let head = self.events.peek_time();
             let popped = match head {
                 Some(t) if t <= end => self.events.pop(),
                 _ => None,
             };
-            self.profiler.exit();
             let Some((t, ev)) = popped else {
                 break;
             };
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
+            let stage = Stage::of(&ev);
+            self.costs.count(Stage::Scheduler);
+            self.costs.count(stage);
+            let t1 = (t0.is_some() || stage.timed_always()).then(|| {
+                self.costs.open(self.events_processed);
+                Tick::now()
+            });
             self.dispatch(ev);
+            if let Some(t1) = t1 {
+                self.costs.close(stage, t0, t1, Tick::now());
+            }
             self.events_processed += 1;
             if !self.flows.is_empty() && self.terminated_flows == self.flows.len() {
                 all_done = true;
@@ -704,8 +699,7 @@ impl Simulator {
         if !all_done {
             self.now = self.now.max(end);
         }
-        self.meter
-            .record(self.events_processed - events_before, wall_start.elapsed());
+        self.costs.end_loop(wall_start.elapsed().as_nanos() as u64);
     }
 
     /// Run until every registered flow terminates (completes or fails) or
@@ -730,16 +724,8 @@ impl Simulator {
             Event::FlowStart(flow) => self.call_flow(flow, |logic, ctx| {
                 logic.on_start(ctx);
             }),
-            Event::LinkDown(link) => {
-                self.profiler.enter("fault");
-                self.take_link_down(link);
-                self.profiler.exit();
-            }
-            Event::LinkUp(link) => {
-                self.profiler.enter("fault");
-                self.bring_link_up(link);
-                self.profiler.exit();
-            }
+            Event::LinkDown(link) => self.take_link_down(link),
+            Event::LinkUp(link) => self.bring_link_up(link),
             Event::Sample(idx) => {
                 let s = &mut self.samplers[idx as usize];
                 let queue = self.topo.links.queue_mut(s.link);
@@ -751,21 +737,9 @@ impl Simulator {
                 self.events.push(self.now + interval, Event::Sample(idx));
             }
             Event::Telemetry => self.telemetry_tick(),
-            Event::FaultStart(idx) => {
-                self.profiler.enter("fault");
-                self.fault_start(idx);
-                self.profiler.exit();
-            }
-            Event::FaultEnd(idx) => {
-                self.profiler.enter("fault");
-                self.fault_end(idx);
-                self.profiler.exit();
-            }
-            Event::FaultFlap(idx) => {
-                self.profiler.enter("fault");
-                self.fault_flap(idx);
-                self.profiler.exit();
-            }
+            Event::FaultStart(idx) => self.fault_start(idx),
+            Event::FaultEnd(idx) => self.fault_end(idx),
+            Event::FaultFlap(idx) => self.fault_flap(idx),
             Event::PfcPause { link, by, depth } => {
                 self.topo.links.apply_pause(link, self.now, depth);
                 if self.tracer.enabled() {
@@ -851,7 +825,6 @@ impl Simulator {
         let Some(tel) = &mut self.telemetry else {
             return; // collector removed; let the event chain die out
         };
-        self.profiler.enter("telemetry");
         let now = self.now;
         let mut links_down = 0u64;
         let links = &mut self.topo.links;
@@ -878,7 +851,6 @@ impl Simulator {
         tel.tick();
         let interval = tel.interval();
         self.events.push(self.now + interval, Event::Telemetry);
-        self.profiler.exit();
     }
 
     /// Fail `link`: purge its queue (counting the drops), bump the failure
@@ -1233,20 +1205,22 @@ impl Simulator {
         };
         let mut actions = self.action_pool.pop().unwrap_or_default();
         actions.clear();
-        self.profiler.enter("transport");
-        {
-            let mut ctx = Ctx {
+        self.costs.count(Stage::Flow);
+        let start = self.costs.timing().then(Tick::now);
+        f(
+            logic.as_mut(),
+            &mut Ctx {
                 now: self.now,
                 flow,
                 rng: &mut self.rng,
                 topo: &self.topo,
                 tracer: &mut self.tracer,
-                profiler: &mut self.profiler,
                 actions: &mut actions,
-            };
-            f(logic.as_mut(), &mut ctx);
+            },
+        );
+        if let Some(start) = start {
+            self.costs.flow(start, Tick::now());
         }
-        self.profiler.exit();
         self.flows.put_logic(i, logic);
         // Apply actions (may recurse into enqueue but not into flows).
         // Draining in place keeps the buffer's capacity for the free list.
@@ -1322,6 +1296,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::SAMPLE_EVERY;
     use crate::packet::PacketKind;
     use crate::time::{GBPS, MICROS};
     use crate::topology::TopologyParams;
@@ -1447,6 +1422,71 @@ mod tests {
             fcts.push(sim.fcts[0].fct());
         }
         assert_eq!(fcts[0], fcts[1]);
+    }
+
+    /// Eight Blaster flows into one host, with a queue sampler, telemetry
+    /// and a link flap: every stage but timers and PFC runs.
+    fn cost_counts(seed: u64) -> (u64, Vec<(String, u64)>) {
+        let mut sim = small_sim(seed);
+        let dst = sim.topo.host(0, 0);
+        for i in 1..9u32 {
+            let src = sim.topo.host((i / 5) as u8, i % 5 + 1);
+            let meta = FlowMeta {
+                src,
+                dst,
+                size: 200 * 4096,
+                start: 0,
+                class: FlowClass::Intra,
+            };
+            let logic = Blaster {
+                src,
+                dst,
+                n: 200,
+                acked: 0,
+                mtu: 4096,
+            };
+            sim.add_flow(meta, Box::new(logic));
+        }
+        let uplink = sim.topo.host_uplink(sim.topo.host(1, 1));
+        sim.add_queue_sampler(uplink, 10 * MICROS, 0);
+        sim.enable_telemetry(SampleConfig::every(20 * MICROS));
+        sim.schedule_link_down(uplink, 5 * MICROS);
+        sim.schedule_link_up(uplink, 6 * MICROS);
+        sim.run_until(2 * crate::time::MILLIS);
+        let c = sim.costs();
+        for s in [
+            Stage::FlowStart,
+            Stage::Fault,
+            Stage::Sample,
+            Stage::Telemetry,
+        ] {
+            let row = &c.stages[s as usize];
+            assert_eq!(row.sampled, row.events, "{s:?} is timed on every event");
+        }
+        let counts = c
+            .stages
+            .iter()
+            .map(|r| (r.stage.clone(), r.events))
+            .collect();
+        (sim.events_processed, counts)
+    }
+
+    #[test]
+    fn cost_table_counts_every_event_once_and_deterministically() {
+        let (events, counts) = cost_counts(5);
+        assert!(events > 4 * SAMPLE_EVERY * crate::costs::BURST, "{events}");
+        let handled: u64 = counts
+            .iter()
+            .filter(|(stage, _)| stage != "scheduler" && stage != "flow")
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(handled, events, "event stages partition the events");
+        assert_eq!(counts[Stage::Scheduler as usize].1, events, "one pop each");
+        for (stage, n) in &counts {
+            let idle = stage == "flow_timer" || stage == "pfc"; // no timers, no PFC
+            assert!(*n > 0 || idle, "{stage} never ran");
+        }
+        assert_eq!(cost_counts(5), (events, counts), "same seed, same counts");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod costs;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -41,6 +42,7 @@ pub mod tables;
 pub mod time;
 pub mod topology;
 
+pub use costs::{EngineCosts, Stage, StageCost};
 pub use engine::{
     Action, Ctx, FailRecord, FctRecord, FlowClass, FlowLogic, FlowMeta, FlowOutcome, LinkStats,
     NetworkStats, QueueSampler, Simulator, StallCause,
@@ -59,6 +61,6 @@ pub use topology::{
     Topology, TopologyParams,
 };
 pub use uno_trace::{
-    Counters, FlowSample, ProfileReport, Profiler, RateMeter, RunManifest, SampleConfig, Series,
-    Telemetry, TraceConfig, TraceEvent, TraceSummary, Tracer,
+    Counters, FlowSample, RateMeter, RunManifest, SampleConfig, Series, Telemetry, TraceConfig,
+    TraceEvent, TraceSummary, Tracer,
 };

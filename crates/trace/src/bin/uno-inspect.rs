@@ -2,10 +2,9 @@
 //! digest a JSONL trace.
 //!
 //! ```text
-//! uno-scenario sc.json --telemetry --profile > run.json
+//! uno-scenario sc.json --telemetry > run.json
 //! uno-inspect run.json                  # ASCII report on stdout
 //! uno-inspect run.json --html out.html  # self-contained HTML report
-//! uno-inspect run.json --collapsed out.folded   # flamegraph input
 //! uno-inspect diff a.json b.json        # compare two runs side by side
 //! uno-scenario sc.json --trace trace.jsonl > run.json
 //! uno-inspect trace trace.jsonl         # per-flow and per-queue tables
@@ -14,11 +13,13 @@
 //! ```
 //!
 //! The run input is the JSON printed by `uno-scenario` (or any JSON
-//! carrying the same `manifest.counters` / `telemetry` / `profile`
+//! carrying the same `manifest.counters` / `telemetry` / `costs`
 //! sections). The report shows counter tables, ASCII timelines of per-link
-//! queue depth and per-flow delivery rate, and the span profiler's
-//! inclusive/exclusive time breakdown. `--strict` fails unless every
-//! section is present and non-empty (used by the CI smoke lane). The
+//! queue depth and per-flow delivery rate, and the engine's cost table:
+//! events, timed events, estimated self time and share of the run loop per
+//! stage, the coverage (estimated total ÷ loop wall) and the table's own
+//! clock overhead. `--strict` fails unless every section is present and
+//! non-empty (used by the CI smoke lane). The
 //! `trace` subcommand renders a [`TraceSummary`] of a `--trace` file.
 //!
 //! Bad arguments print the usage line and exit 2; an unreadable or
@@ -28,7 +29,7 @@ use std::fmt::Write as _;
 use std::process::exit;
 
 use serde::Value;
-use uno_trace::{ProfileReport, TraceSummary};
+use uno_trace::TraceSummary;
 
 /// ASCII ramp used for timeline rendering (space = zero).
 const RAMP: &[u8] = b" .:-=+*#%@";
@@ -41,7 +42,7 @@ const TOP: usize = 8;
 fn usage(msg: &str) -> ! {
     eprintln!("uno-inspect: {msg}");
     eprintln!(
-        "usage: uno-inspect <run.json> [--html <out.html>] [--collapsed <out.folded>] [--strict]\n\
+        "usage: uno-inspect <run.json> [--html <out.html>] [--strict]\n\
          \x20      uno-inspect diff <a.json> <b.json>\n\
          \x20      uno-inspect trace <trace.jsonl> [--json] [--cwnd FLOW]"
     );
@@ -84,18 +85,11 @@ fn main() {
 fn report(args: &[String]) {
     let mut path: Option<&str> = None;
     let mut html: Option<&str> = None;
-    let mut collapsed: Option<&str> = None;
     let mut strict = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--html" => html = Some(it.next().unwrap_or_else(|| usage("--html needs a path"))),
-            "--collapsed" => {
-                collapsed = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--collapsed needs a path")),
-                )
-            }
             "--strict" => strict = true,
             other if !other.starts_with("--") && path.is_none() => path = Some(other),
             other => usage(&format!("unknown argument `{other}`")),
@@ -110,13 +104,6 @@ fn report(args: &[String]) {
         enforce_strict(&run);
     }
     print!("{}", render_report(&run, path));
-    if let Some(out) = collapsed {
-        let report = profile_of(&run)
-            .unwrap_or_else(|| fail("run has no profile section (re-run with --profile)"));
-        std::fs::write(out, report.to_collapsed())
-            .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-        eprintln!("uno-inspect: collapsed stacks written to {out}");
-    }
     if let Some(out) = html {
         std::fs::write(out, render_html(&run, path))
             .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
@@ -184,8 +171,10 @@ fn enforce_strict(run: &Value) {
     if telemetry_series == 0 {
         missing.push("telemetry");
     }
-    if profile_of(run).is_none_or(|p| p.rows.is_empty()) {
-        missing.push("profile");
+    if costs_of(run)
+        .is_none_or(|(c, rows)| rows.is_empty() || num(c, "loop_ns").is_none_or(|ns| ns == 0.0))
+    {
+        missing.push("costs");
     }
     if !missing.is_empty() {
         fail(&format!(
@@ -218,11 +207,27 @@ fn telemetry_of(run: &Value) -> Option<&Value> {
     }
 }
 
-fn profile_of(run: &Value) -> Option<ProfileReport> {
-    match run.get("profile") {
-        Some(Value::Null) | None => None,
-        Some(p) => ProfileReport::from_value(p),
-    }
+/// One engine-cost stage: (stage, events, sampled, estimated self ns).
+type StageRow<'a> = (&'a str, u64, u64, f64);
+
+fn num(v: &Value, key: &str) -> Option<f64> {
+    v.get(key).and_then(Value::as_f64)
+}
+
+/// A run's engine cost table (`uno-sim`'s `EngineCosts`) and its stages.
+fn costs_of(run: &Value) -> Option<(&Value, Vec<StageRow<'_>>)> {
+    let c = run.get("costs")?;
+    let rows = c.get("stages")?.as_array()?.iter().map(|s| {
+        let name = s.get("stage")?.as_str()?;
+        Some((
+            name,
+            num(s, "events")? as u64,
+            num(s, "sampled")? as u64,
+            num(s, "self_ns")?,
+        ))
+    });
+    let rows = rows.collect::<Option<_>>()?;
+    Some((c, rows))
 }
 
 /// Parse one serialized series (`[[t, v], ...]`) back into points.
@@ -446,21 +451,49 @@ fn render_report(run: &Value, path: &str) -> String {
     }
     out.push('\n');
 
-    // Profile breakdown.
-    match profile_of(run) {
-        None => out.push_str("== profile ==\n  (absent; re-run with --profile)\n"),
-        Some(p) => {
-            let _ = writeln!(
-                out,
-                "== profile ({:.3} ms total) ==",
-                p.total_ns as f64 / 1e6
-            );
-            for line in p.render().lines() {
-                let _ = writeln!(out, "  {line}");
-            }
-        }
+    // Engine cost table.
+    match costs_of(run) {
+        None => out.push_str("== engine costs ==\n  (absent)\n"),
+        Some((c, rows)) => render_costs(&mut out, c, &rows),
     }
     out
+}
+
+fn render_costs(out: &mut String, c: &Value, rows: &[StageRow]) {
+    let field = |k| num(c, k).unwrap_or(0.0);
+    let loop_ns = field("loop_ns");
+    let share = |ns: f64| if loop_ns > 0.0 { ns / loop_ns } else { 0.0 };
+    let _ = writeln!(
+        out,
+        "== engine costs (1 event in {:.0} timed, run loop {}) ==\n  {:<12} {:>12} {:>10} {:>12} {:>7}",
+        field("sample_every"),
+        fmt_ns(loop_ns as u64),
+        "stage",
+        "events",
+        "sampled",
+        "self time",
+        "share"
+    );
+    for &(stage, events, sampled, ns) in rows {
+        let time = fmt_ns(ns.max(0.0) as u64);
+        let pct = 100.0 * share(ns);
+        let _ = writeln!(
+            out,
+            "  {stage:<12} {events:>12} {sampled:>10} {time:>12} {pct:>6.1}%"
+        );
+    }
+    let total: f64 = rows.iter().map(|r| r.3).sum();
+    let (reads, read_ns) = (field("clock_reads"), field("clock_ns"));
+    let _ = writeln!(
+        out,
+        "  coverage {:.3} (estimated self time ÷ run loop wall)\n  \
+         clock overhead {} ({:.2}% of the loop: {reads:.0} reads × {read_ns:.1} ns), \
+         {:.0} preempted intervals dropped",
+        share(total),
+        fmt_ns((reads * read_ns) as u64),
+        100.0 * share(reads * read_ns),
+        field("preempted")
+    );
 }
 
 // -------------------------------------------------------------------- diff
@@ -542,40 +575,32 @@ fn render_diff(a: &Value, b: &Value, pa: &str, pb: &str) -> String {
     }
     out.push('\n');
 
-    // Profile spans side by side, matched by path.
-    let _ = writeln!(out, "== profile ==");
-    match (profile_of(a), profile_of(b)) {
-        (None, None) => out.push_str("  (absent in both)\n"),
-        (pa, pb) => {
-            let ra = pa.map(|p| p.rows).unwrap_or_default();
-            let rb = pb.map(|p| p.rows).unwrap_or_default();
-            let mut paths: Vec<&String> = ra.iter().chain(rb.iter()).map(|r| &r.path).collect();
-            paths.sort();
-            paths.dedup();
-            let _ = writeln!(
-                out,
-                "  {:<32} {:>12} {:>12} {:>8}",
-                "span", "A incl ms", "B incl ms", "ratio"
-            );
-            for p in paths {
-                let fa = ra.iter().find(|r| &r.path == p).map(|r| r.inclusive_ns);
-                let fb = rb.iter().find(|r| &r.path == p).map(|r| r.inclusive_ns);
-                let ratio = match (fa, fb) {
-                    (Some(x), Some(y)) if x > 0 => format!("{:.2}x", y as f64 / x as f64),
-                    _ => "—".into(),
-                };
-                let show =
-                    |v: Option<u64>| v.map_or("—".into(), |v| format!("{:.3}", v as f64 / 1e6));
-                let _ = writeln!(
-                    out,
-                    "  {:<32} {:>12} {:>12} {:>8}",
-                    p,
-                    show(fa),
-                    show(fb),
-                    ratio
-                );
-            }
-        }
+    // Cost-table stages side by side, matched by name.
+    let _ = writeln!(out, "== engine costs ==");
+    let [ra, rb] = [a, b].map(|run| costs_of(run).map(|(_, rows)| rows).unwrap_or_default());
+    if ra.is_empty() && rb.is_empty() {
+        out.push_str("  (absent in both)\n");
+        return out;
+    }
+    let _ = writeln!(
+        out,
+        "  {:<12} {:>12} {:>12} {:>12} {:>12} {:>8}",
+        "stage", "A events", "B events", "A self ms", "B self ms", "ratio"
+    );
+    let only_b = rb.iter().filter(|r| !ra.iter().any(|x| x.0 == r.0));
+    for name in ra.iter().chain(only_b).map(|r| r.0) {
+        let [fa, fb] = [&ra, &rb].map(|rows| rows.iter().find(|r| r.0 == name));
+        let ratio = match (fa, fb) {
+            (Some(x), Some(y)) if x.3 > 0.0 => format!("{:.2}x", y.3 / x.3),
+            _ => "—".into(),
+        };
+        let events = |r: Option<&StageRow>| r.map_or("—".into(), |r| r.1.to_string());
+        let ms = |r: Option<&StageRow>| r.map_or("—".into(), |r| format!("{:.3}", r.3 / 1e6));
+        let (ea, eb, ma, mb) = (events(fa), events(fb), ms(fa), ms(fb));
+        let _ = writeln!(
+            out,
+            "  {name:<12} {ea:>12} {eb:>12} {ma:>12} {mb:>12} {ratio:>8}"
+        );
     }
     out
 }
@@ -670,9 +695,12 @@ mod tests {
                                 "srtt_ns": [[0,900]], "outstanding": [[0,10]]}},
                 "fault": {"active": [], "links_down": []}
               },
-              "profile": {"total_ns": 1000,
-                "spans": [{"path":"transport","depth":0,"calls":5,
-                           "inclusive_ns":1000,"exclusive_ns":1000}]}
+              "costs": {"sample_every": 128, "clock_ns": 20.0, "clock_reads": 5,
+                "loop_ns": 2000,
+                "stages": [{"stage":"scheduler","events":4,"sampled":1,
+                            "sampled_ns":100.0,"self_ns":400.0},
+                           {"stage":"flow","events":2,"sampled":1,
+                            "sampled_ns":700.0,"self_ns":1400.0}]}
             }"#,
         )
         .unwrap()
@@ -685,7 +713,10 @@ mod tests {
         assert!(r.contains("cc.epochs"));
         assert!(r.contains("link    1"));
         assert!(r.contains("flow    0"));
-        assert!(r.contains("transport"));
+        assert!(r.contains("== engine costs (1 event in 128 timed, run loop 2.0 µs) =="));
+        assert!(r.contains("scheduler") && r.contains("20.0%"));
+        assert!(r.contains("coverage 0.900"));
+        assert!(r.contains("clock overhead 100 ns (5.00% of the loop"));
     }
 
     #[test]
@@ -693,7 +724,12 @@ mod tests {
         let a = fake_run();
         let d = render_diff(&a, &a, "a.json", "a.json");
         assert!(d.contains("+0"));
-        assert!(d.contains("1.00x"));
+        assert!(d.contains("A self ms"));
+        let flow = d
+            .lines()
+            .find(|l| l.trim_start().starts_with("flow "))
+            .unwrap();
+        assert!(flow.contains(" 2 ") && flow.ends_with("1.00x"), "{flow}");
     }
 
     #[test]
@@ -728,7 +764,7 @@ mod tests {
         let run = serde_json::parse_value(r#"{"scheme":"Uno"}"#).unwrap();
         let r = render_report(&run, "x.json");
         assert!(r.contains("re-run with --telemetry"));
-        assert!(r.contains("re-run with --profile"));
+        assert!(r.contains("== engine costs ==\n  (absent)"));
     }
 
     #[test]

@@ -22,21 +22,18 @@
 //! The crate sits *below* the simulator: events refer to flows and links by
 //! raw ids so `uno-sim`, `uno-transport`, and `uno` can all depend on it.
 //!
-//! Two further pieces form the telemetry plane:
+//! A fourth piece forms the telemetry plane:
 //!
 //! * **Deterministic time-series sampling** — a [`Telemetry`] collector the
 //!   engine drives on a periodic event, recording per-link queue state,
 //!   per-flow transport state ([`FlowSample`]) and fault-plane state into
 //!   bounded-memory [`Series`] (2x-downsampling compaction). Serializes as
 //!   the byte-stable `telemetry` section of run artifacts.
-//! * **Span self-profiler** — a [`Profiler`] with hierarchical wall-clock
-//!   spans and a one-branch disabled path, aggregated into a
-//!   [`ProfileReport`] (inclusive/exclusive table, collapsed-stack export).
 //!
 //! The `uno-inspect` binary renders a run artifact (counters, telemetry
-//! timelines, profile breakdown), diffs two runs, and (`uno-inspect trace`)
-//! turns a JSONL trace back into per-flow cwnd/rate timelines and per-queue
-//! occupancy/mark tables.
+//! timelines, the engine's cost table), diffs two runs, and (`uno-inspect
+//! trace`) turns a JSONL trace back into per-flow cwnd/rate timelines and
+//! per-queue occupancy/mark tables.
 
 #![warn(missing_docs)]
 
@@ -44,7 +41,6 @@ mod counters;
 mod event;
 mod manifest;
 mod meter;
-pub mod profile;
 pub mod sample;
 mod summary;
 mod tracer;
@@ -53,7 +49,6 @@ pub use counters::Counters;
 pub use event::{EventClass, Time, TraceEvent};
 pub use manifest::RunManifest;
 pub use meter::RateMeter;
-pub use profile::{ProfileReport, ProfileRow, Profiler};
 pub use sample::{FlowSample, SampleConfig, Series, Telemetry};
 pub use summary::{FlowSummary, QueueSummary, TraceSummary};
 pub use tracer::{TraceConfig, Tracer};

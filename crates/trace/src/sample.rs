@@ -11,9 +11,9 @@
 //!
 //! Everything recorded here is a function of simulated state only (virtual
 //! clock, queue bytes, cwnd, …), so for a fixed seed the serialized
-//! `telemetry` section is byte-identical across runs — unlike the span
-//! profiler (`profile.rs`), whose wall-clock numbers live outside the
-//! determinism guarantee.
+//! `telemetry` section is byte-identical across runs — unlike the
+//! engine's cost table (`uno-sim`'s `costs` module), whose wall-clock
+//! numbers live outside the determinism guarantee.
 
 use serde::{Serialize, Value};
 

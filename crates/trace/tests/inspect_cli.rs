@@ -149,10 +149,60 @@ fn strict_on_missing_sections_exits_1() {
     let out = inspect(&[&path, "--strict"]);
     assert_eq!(out.status.code(), Some(1));
     let err = stderr(&out);
-    assert!(err.contains("telemetry, profile"), "{err}");
+    assert!(err.contains("telemetry, costs"), "{err}");
     assert!(!err.contains("usage:"), "{err}");
     assert!(
         stdout(&out).is_empty(),
         "strict fails before the report prints"
     );
+}
+
+/// The head of a run object with counters and telemetry (left open, so
+/// `--strict` then turns on `costs`).
+const RUN_HEAD: &str = r#"{"scheme": "Uno",
+  "manifest": {"counters": {"queue.drops": 0}},
+  "telemetry": {"interval_ns": 1000, "ticks": 1,
+                "links": {"1": {"queue": [[0, 10]]}}, "flows": {}}"#;
+
+fn with_costs(arrive_ns: f64) -> String {
+    format!(
+        r#"{},
+  "costs": {{"sample_every": 128, "clock_ns": 20.0, "clock_reads": 3, "loop_ns": 1000,
+    "stages": [{{"stage": "scheduler", "events": 2, "sampled": 1,
+                 "sampled_ns": 100.0, "self_ns": 200.0}},
+               {{"stage": "arrive", "events": 2, "sampled": 1,
+                 "sampled_ns": 300.0, "self_ns": {arrive_ns}}}]}}}}"#,
+        RUN_HEAD
+    )
+}
+
+#[test]
+fn strict_without_costs_exits_1() {
+    let path = scratch("cli_no_costs.json", &format!("{RUN_HEAD}}}"));
+    let out = inspect(&[&path, "--strict"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.ends_with("missing section(s): costs\n"), "{err}");
+    let path = scratch("cli_costs.json", &with_costs(600.0));
+    let out = inspect(&[&path, "--strict"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(stdout(&out).contains("coverage 0.800"));
+}
+
+#[test]
+fn diff_prints_the_stage_rows() {
+    let a = scratch("cli_costs_a.json", &with_costs(600.0));
+    let b = scratch("cli_costs_b.json", &with_costs(300.0));
+    let out = inspect(&["diff", &a, &b]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    let row = |name: &str| {
+        text.lines()
+            .find(|l| l.trim_start().starts_with(name))
+            .unwrap_or_else(|| panic!("no {name} row in:\n{text}"))
+            .split_whitespace()
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(row("scheduler")[1..], ["2", "2", "0.000", "0.000", "1.00x"]);
+    assert_eq!(row("arrive")[1..], ["2", "2", "0.001", "0.000", "0.50x"]);
 }

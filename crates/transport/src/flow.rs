@@ -297,25 +297,9 @@ impl MessageFlow {
         self.lb.as_ref()
     }
 
-    /// True once the transfer completed.
-    pub fn is_complete(&self) -> bool {
-        self.completed
-    }
-
-    /// True once the flow terminated without completing (stall watchdog or
-    /// bounded-retry abort fired).
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// Bytes currently believed in flight (diagnostics).
     pub fn inflight(&self) -> u64 {
         self.inflight
-    }
-
-    /// Length of the retransmission queue (diagnostics).
-    pub fn rtx_backlog(&self) -> usize {
-        self.rtx_queue.len()
     }
 
     /// Cumulative acknowledged wire bytes (diagnostics).
@@ -683,7 +667,6 @@ impl MessageFlow {
 
         // Completion accounting.
         if self.cfg.ec.is_some() {
-            ctx.profiler.enter("rc_block_ack");
             let b = pkt.block as u64;
             let needed = self.block_data_count(b) as u16;
             let done_at = self.block_done_thresh(b);
@@ -698,7 +681,6 @@ impl MessageFlow {
                 // packets need neither retransmission nor individual ACKs.
                 self.finish_block(b);
             }
-            ctx.profiler.exit();
             if self.blocks_done == self.nblocks {
                 self.complete(ctx);
                 return;
@@ -932,7 +914,6 @@ impl MessageFlow {
         let first = self.rx_bitmap[word] & bit == 0;
         self.rx_bitmap[word] |= bit;
         if self.cfg.ec.is_some() && first {
-            ctx.profiler.enter("rc_block_rx");
             let b = pkt.block as usize;
             // Blocks are sent in order: seeing block b implies all earlier
             // blocks are on (or fell off) the wire — arm their timers too.
@@ -956,7 +937,6 @@ impl MessageFlow {
                     self.rx_block_done[b] = true;
                 }
             }
-            ctx.profiler.exit();
         }
         // ACK every arrival (duplicates included: the earlier ACK may have
         // been lost). The ACK sprays its own reverse-path entropy and, for
